@@ -32,13 +32,6 @@ class Budget:
                 f"budget is {self.max_bytes // (1024 * 1024)} MiB"
             )
 
-    def check_word_count(self, count: int, what: str) -> None:
-        if count > self.max_words_per_bidegree:
-            raise BudgetError(
-                f"{what} would enumerate {count} words, "
-                f"budget is {self.max_words_per_bidegree}"
-            )
-
 
 DEFAULT_BUDGET = Budget()
 

@@ -1,25 +1,31 @@
-"""Bit-packed linear algebra over the two-element field.
+"""Linear algebra over the two-element field, on rows packed into Python ints.
 
 Rows are vectors of F2 coefficients indexed by an external coordinate
 enumeration fixed by the caller; this module never reorders coordinates.
-The workhorse is :class:`EchelonBasis`, a streaming fully-reduced echelon
-form: rows are inserted one at a time and the basis is kept in canonical
-reduced row echelon form throughout, so a given span always produces the
-same rows regardless of insertion history.
+Bit i of a row int is coordinate i, and a row's pivot is its lowest set
+coordinate.
 
-Full reduction is what makes streaming cheap: if every stored row has zeros
-in all other rows' pivot coordinates, then reducing an incoming vector is a
-single XOR of the stored rows selected by the vector's own bits at pivot
-coordinates -- no cascading.  Storage is a packed uint64 matrix; incoming
-rows are usually given as sparse coordinate lists.
+The workhorse is :class:`EchelonBasis`, which eliminates forward only.  An
+incoming row is reduced until it has a zero at every stored pivot and is
+then stored under its own pivot; no stored row is touched.  That residual is
+unique, so rank, pivots and membership never need more.  The canonical
+reduced row echelon form, in which every row also has zeros at all other
+rows' pivots, is computed on demand by one back-substitution in descending
+pivot order, and kept until the span grows again.
+
+Insertion order sets the cost of both steps.  :meth:`EchelonBasis.extend`
+inserts a batch of sparse rows in descending order of their lowest
+coordinate, so a new pivot mostly lies below every stored one: no stored row
+has a one there, and the back-substitution finds almost nothing to clear.
+On the sparse, quasi-triangular matrices of the hit problem and the lambda
+algebra this is the structured order of LaMacchia-Odlyzko (CRYPTO '90) and
+Faugere-Lachartre (PASCO 2010).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .budget import Budget
 
@@ -31,9 +37,6 @@ __all__ = [
     "kernel_basis",
     "quotient_representatives",
 ]
-
-_U64_0 = np.uint64(0)
-_U64_1 = np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -90,47 +93,40 @@ class BitRow:
         return BitRow(self.bits ^ other.bits, self.length)
 
 
-def _words_for(length: int) -> int:
-    return max(1, (length + 63) // 64)
-
-
 class EchelonBasis:
-    """Canonical reduced echelon basis of a subspace of F2^ambient_length.
+    """Echelon basis of a subspace of F2^ambient_length.
 
-    Every stored row is nonzero, has a distinct pivot (its lowest nonzero
-    coordinate) and zeros at every other row's pivot.  ``insert`` updates the
-    basis in place and reports whether the span grew; the resulting row set
-    depends only on the span, not on insertion order.
+    Every stored row is nonzero and has a distinct pivot.  ``insert``
+    reduces the new row against the stored ones and reports whether the span
+    grew.  ``row_ints``, ``rows``, ``kernel`` and ``==`` see the canonical
+    reduced form, which depends only on the span, not on insertion order.
     """
 
     def __init__(self, ambient_length: int, budget: Budget | None = None):
         if ambient_length < 0:
             raise ValueError("ambient_length must be non-negative")
         self.ambient_length = ambient_length
-        self._words = _words_for(ambient_length)
-        self._mat = np.zeros((0, self._words), dtype=np.uint64)
-        self._nrows = 0
-        self._pivot_row: dict[int, int] = {}  # pivot coordinate -> row index
-        self._row_pivot: list[int] = []
+        self._row_bytes = max(1, (ambient_length + 63) // 64) * 8
+        self._rows: dict[int, int] = {}  # pivot coordinate -> row
+        self._pivot_mask = 0  # bit p set iff p is a pivot
+        self._canonical = True
         self._budget = budget
 
     # -- queries ------------------------------------------------------------
 
     @property
     def rank(self) -> int:
-        return self._nrows
+        return len(self._rows)
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(sorted(self._pivot_row))
+        return tuple(sorted(self._rows))
 
     def row_ints(self) -> list[int]:
-        """Rows as ints, ordered by increasing pivot (the canonical order)."""
-        out = []
-        for p in sorted(self._pivot_row):
-            r = self._pivot_row[p]
-            out.append(int.from_bytes(self._mat[r].tobytes(), "little"))
-        return out
+        """Canonical rows as ints, ordered by increasing pivot."""
+        self._canonicalize()
+        rows = self._rows
+        return [rows[p] for p in sorted(rows)]
 
     @property
     def rows(self) -> list[BitRow]:
@@ -145,12 +141,12 @@ class EchelonBasis:
         )
 
     def __repr__(self) -> str:
-        return f"EchelonBasis(ambient={self.ambient_length}, rank={self._nrows})"
+        return f"EchelonBasis(ambient={self.ambient_length}, rank={self.rank})"
 
     def contains(self, v: BitRow) -> bool:
         return reduce_against(v, self).is_zero()
 
-    # -- internal word-level machinery ---------------------------------------
+    # -- elimination --------------------------------------------------------
 
     def _check_length(self, length: int) -> None:
         if length != self.ambient_length:
@@ -158,123 +154,79 @@ class EchelonBasis:
                 f"row length {length} does not match ambient {self.ambient_length}"
             )
 
-    def _int_to_words(self, bits: int) -> np.ndarray:
-        buf = bits.to_bytes(self._words * 8, "little")
-        return np.frombuffer(buf, dtype="<u8").astype(np.uint64, copy=True)
+    def _reduce(self, bits: int) -> int:
+        # Each stored row's lowest bit is its pivot, so clearing the lowest
+        # pivot coordinate still set never sets a lower one: the loop ends.
+        rows, mask = self._rows, self._pivot_mask
+        hits = bits & mask
+        while hits:
+            bits ^= rows[(hits & -hits).bit_length() - 1]
+            hits = bits & mask
+        return bits
 
-    def _words_for_indices(self, indices: Sequence[int]) -> np.ndarray:
-        v = np.zeros(self._words, dtype=np.uint64)
-        for i in indices:
-            v[i >> 6] ^= _U64_1 << np.uint64(i & 63)
-        return v
-
-    def _select_rows(self, pivot_hits: Sequence[int]) -> np.ndarray | None:
-        if not pivot_hits:
-            return None
-        sel = self._mat[pivot_hits]
-        return np.bitwise_xor.reduce(sel, axis=0)
-
-    def _pivot_hits_of_words(self, words: np.ndarray) -> list[int]:
-        hits = []
-        get = self._pivot_row.get
-        for wi in np.nonzero(words)[0]:
-            w = int(words[wi])
-            base = int(wi) << 6
-            while w:
-                low = w & -w
-                r = get(base + low.bit_length() - 1)
-                if r is not None:
-                    hits.append(r)
-                w ^= low
-        return hits
-
-    def _reduce_words(self, words: np.ndarray, hits: list[int]) -> np.ndarray:
-        # Full reduction in one shot: with the basis in RREF, the rows to
-        # subtract are exactly those whose pivot coordinate is set in the
-        # *original* vector.
-        acc = self._select_rows(hits)
-        if acc is None:
-            return words
-        return words ^ acc
-
-    @staticmethod
-    def _lowest_bit(words: np.ndarray) -> int | None:
-        nz = np.nonzero(words)[0]
-        if nz.size == 0:
-            return None
-        w = int(words[nz[0]])
-        return (int(nz[0]) << 6) + ((w & -w).bit_length() - 1)
-
-    def _append_row(self, words: np.ndarray, pivot: int) -> None:
+    def _insert(self, bits: int) -> bool:
+        bits = self._reduce(bits)
+        if not bits:
+            return False
         if self._budget is not None:
             self._budget.check_bytes(
-                (self._nrows + 1) * self._words * 8, "echelon basis"
+                (len(self._rows) + 1) * self._row_bytes, "echelon basis"
             )
-        if self._nrows == self._mat.shape[0]:
-            cap = max(64, self._mat.shape[0] * 2)
-            grown = np.zeros((cap, self._words), dtype=np.uint64)
-            grown[: self._nrows] = self._mat[: self._nrows]
-            self._mat = grown
-        self._mat[self._nrows] = words
-        self._pivot_row[pivot] = self._nrows
-        self._row_pivot.append(pivot)
-        self._nrows += 1
-
-    def _clear_column(self, pivot: int, new_row: np.ndarray) -> None:
-        """Zero out coordinate `pivot` in all stored rows (full reduction)."""
-        if self._nrows == 0:
-            return
-        wi, b = divmod(pivot, 64)
-        col = self._mat[: self._nrows, wi]
-        mask = (col >> np.uint64(b)) & _U64_1
-        fix = np.nonzero(mask)[0]
-        if fix.size:
-            self._mat[fix] ^= new_row
-
-    def _insert_words(self, words: np.ndarray, hits: list[int]) -> bool:
-        residual = self._reduce_words(words, hits)
-        pivot = self._lowest_bit(residual)
-        if pivot is None:
-            return False
-        self._clear_column(pivot, residual)
-        self._append_row(residual, pivot)
+        low = bits & -bits
+        self._rows[low.bit_length() - 1] = bits
+        self._pivot_mask |= low
+        self._canonical = False
         return True
+
+    def _canonicalize(self) -> None:
+        """Back-substitute once, in descending pivot order, into the RREF."""
+        if self._canonical:
+            return
+        rows, mask = self._rows, self._pivot_mask
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            # Rows with higher pivots are canonical already, so the pivots
+            # set in this row are cleared by one XOR each, with no cascade.
+            hits = (row & mask) ^ (1 << p)
+            while hits:
+                low = hits & -hits
+                row ^= rows[low.bit_length() - 1]
+                hits ^= low
+            rows[p] = row
+        self._canonical = True
 
     def insert_indices(self, indices: Sequence[int]) -> bool:
         """Insert a row given as a list of set coordinates (parity semantics)."""
-        seen: set[int] = set()
+        bits = 0
         for i in indices:
             if i >= self.ambient_length or i < 0:
                 raise ValueError(f"coordinate {i} outside ambient space")
-            seen.symmetric_difference_update((i,))
-        get = self._pivot_row.get
-        hits = [r for r in (get(i) for i in seen) if r is not None]
-        return self._insert_words(self._words_for_indices(tuple(seen)), hits)
+            bits ^= 1 << i
+        return self._insert(bits)
 
     def insert(self, v: BitRow) -> bool:
         """Grow the span by v; returns True iff the rank increased."""
         self._check_length(v.length)
-        words = self._int_to_words(v.bits)
-        return self._insert_words(words, self._pivot_hits_of_words(words))
+        return self._insert(v.bits)
+
+    def extend(self, rows: Iterable[Sequence[int]]) -> None:
+        """Insert a batch of index rows, as ``insert_indices`` does one.
+
+        The rows go in descending order of their lowest coordinate, which
+        keeps forward elimination and the canonical form cheap (see the
+        module docstring).
+        """
+        insert = self.insert_indices
+        for r in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
+            insert(r)
 
     def reduce(self, v: BitRow) -> BitRow:
         """Residual of v modulo the span: zeros at every pivot coordinate."""
         self._check_length(v.length)
-        words = self._int_to_words(v.bits)
-        out = self._reduce_words(words, self._pivot_hits_of_words(words))
-        return BitRow(int.from_bytes(out.tobytes(), "little"), self.ambient_length)
+        return BitRow(self._reduce(v.bits), self.ambient_length)
 
     def reduce_int(self, bits: int) -> int:
-        words = self._int_to_words(bits)
-        out = self._reduce_words(words, self._pivot_hits_of_words(words))
-        return int.from_bytes(out.tobytes(), "little")
-
-    # -- column access (used by kernel extraction) ---------------------------
-
-    def _column_rows(self, coord: int) -> np.ndarray:
-        wi, b = divmod(coord, 64)
-        col = self._mat[: self._nrows, wi]
-        return np.nonzero((col >> np.uint64(b)) & _U64_1)[0]
+        return self._reduce(bits)
 
     def kernel(self, budget: Budget | None = None) -> "EchelonBasis":
         """Reduced basis of the null space of the matrix whose rows are this basis.
@@ -283,15 +235,22 @@ class EchelonBasis:
         coordinate f, with support {f} plus the pivots of the rows having a
         one in column f.
         """
+        columns: dict[int, list[int]] = {}
+        for row in self.row_ints():
+            low = row & -row
+            pivot = low.bit_length() - 1
+            rest = row ^ low
+            while rest:
+                low = rest & -rest
+                f = low.bit_length() - 1
+                columns.setdefault(f, [f]).append(pivot)
+                rest ^= low
         out = EchelonBasis(self.ambient_length, budget=budget)
-        pivotset = self._pivot_row
-        for f in range(self.ambient_length):
-            if f in pivotset:
-                continue
-            support = [f]
-            for r in self._column_rows(f):
-                support.append(self._row_pivot[int(r)])
-            out.insert_indices(support)
+        out.extend(
+            columns.get(f, [f])
+            for f in range(self.ambient_length)
+            if f not in self._rows
+        )
         return out
 
 
@@ -307,8 +266,8 @@ def insert(b: EchelonBasis, v: BitRow) -> tuple[EchelonBasis, bool]:
     """Add v to the span of b.  Returns (updated basis, rank grew).
 
     The basis object is updated in place; the returned reference is the new
-    logical state.  The final row set is the canonical reduced echelon form
-    of the span and is independent of insertion history.
+    logical state.  Its canonical rows depend only on the span, not on
+    insertion history.
     """
     grew = b.insert(v)
     return b, grew
@@ -328,18 +287,6 @@ def kernel_basis(
     return b.kernel(budget=budget)
 
 
-def echelon_from_index_rows(
-    rows: Iterator[Sequence[int]] | Iterable[Sequence[int]],
-    width: int,
-    budget: Budget | None = None,
-) -> EchelonBasis:
-    """Stream sparse index rows into a fresh canonical echelon basis."""
-    b = EchelonBasis(width, budget=budget)
-    for idx in rows:
-        b.insert_indices(idx)
-    return b
-
-
 def quotient_representatives(ambient_coords: int, b: EchelonBasis) -> list[int]:
     """Non-pivot coordinates in enumeration order.
 
@@ -350,5 +297,5 @@ def quotient_representatives(ambient_coords: int, b: EchelonBasis) -> list[int]:
         raise ValueError(
             f"basis ambient {b.ambient_length} does not match {ambient_coords}"
         )
-    pivotset = b._pivot_row
+    pivotset = b._rows
     return [c for c in range(ambient_coords) if c not in pivotset]

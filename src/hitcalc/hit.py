@@ -27,7 +27,6 @@ from .steenrod import (
     enumerate_monomials,
     monomial_count,
     mu,
-    omega_sequence,
     sq_exponent_targets,
 )
 
@@ -79,19 +78,12 @@ def _square_degrees(d: int) -> list[int]:
     return out
 
 
-def _generator_rows(
-    n: int, d: int, omega_order: bool, threads: int
-) -> Iterator[list[int]]:
+def _generator_rows(n: int, d: int, threads: int) -> Iterator[list[int]]:
     index = degree_index(n, d)
     sources: list[tuple[int, tuple[int, ...]]] = []
     for k in _square_degrees(d):
         for m in enumerate_monomials(n, d - k):
             sources.append((k, m.exponents))
-    if omega_order:
-        # Group rows by the weight sequence of their source monomial (which
-        # pins the weight sequences of the row's targets up to the chosen
-        # 2-power moves); ordering only affects locality, never the span.
-        sources.sort(key=lambda sk: (omega_sequence(sk[1]), sk[0], sk[1]))
 
     def expand(chunk: Sequence[tuple[int, tuple[int, ...]]]) -> list[list[int]]:
         return [
@@ -117,7 +109,6 @@ def hit_basis(
     d: int,
     budget: Budget | None = None,
     threads: int = 1,
-    omega_order: bool = False,
 ) -> HitSpace:
     """Canonical echelon basis of the hit subspace of degree d in n variables."""
     if n < 1 or d < 0:
@@ -129,8 +120,7 @@ def hit_basis(
     dim = monomial_count(n, d)
     budget.check_bytes(dim * ((dim + 63) // 64) * 8, f"hit space ({n}, {d})")
     basis = EchelonBasis(dim, budget=budget)
-    for row in _generator_rows(n, d, omega_order, threads):
-        basis.insert_indices(row)
+    basis.extend(_generator_rows(n, d, threads))
     space = HitSpace(n, d, basis)
     _hit_cache[(n, d)] = space
     return space

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .budget import Budget, DEFAULT_BUDGET
 from .gf2 import EchelonBasis
-from .hit import hit_basis
+from .hit import _square_degrees, hit_basis
 from .steenrod import Polynomial, degree_index, monomial_count
 
 __all__ = [
@@ -257,15 +257,6 @@ def _element_bits(xi: DElement, n: int, d: int) -> int:
     return bits
 
 
-def _square_degrees(d: int) -> list[int]:
-    out = []
-    k = 1
-    while 2 * k <= d:
-        out.append(k)
-        k *= 2
-    return out
-
-
 _primitive_cache: dict[tuple[int, int], PrimitiveBasis] = {}
 
 #: Above this ambient dimension the joint-kernel matrix is not assembled from
@@ -294,8 +285,7 @@ def primitive_basis(n: int, d: int, budget: Budget | None = None) -> PrimitiveBa
                 for target in dual_sq_targets(k, src):
                     rows.setdefault((k, target), []).append(i)
         stacked = EchelonBasis(dim, budget=budget)
-        for key in sorted(rows):
-            stacked.insert_indices(rows[key])
+        stacked.extend(rows.values())
     basis = PrimitiveBasis(n, d, stacked.kernel(budget=budget))
     _primitive_cache[(n, d)] = basis
     return basis

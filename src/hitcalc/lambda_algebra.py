@@ -363,9 +363,10 @@ def boundary_echelon(s: int, w: int, budget: Budget | None = None) -> EchelonBas
     index = {t: i for i, t in enumerate(target)}
     basis = EchelonBasis(len(target), budget=budget)
     if s >= 1:
-        for source in bidegree_basis_tuples(s - 1, w + 1):
-            image = differential(LambdaElement((source,)))
-            basis.insert_indices([index[t] for t in image.words])
+        basis.extend(
+            [index[t] for t in differential(LambdaElement((source,))).words]
+            for source in bidegree_basis_tuples(s - 1, w + 1)
+        )
     _boundary_cache[key] = basis
     return basis
 

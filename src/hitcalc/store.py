@@ -13,8 +13,9 @@ Layout, all little-endian:
 
 Rows are the canonical echelon rows in pivot order, so a load/store round
 trip is byte-identical.  Stores are atomic (temp file + rename); loads
-validate the header and shape and report a miss on any defect, so a corrupt
-cache can cost time but never correctness.
+validate the header, the shape and the canonical form of the rows, and
+report a miss on any defect, so a corrupt cache can cost time but never
+correctness.  A flipped bit that leaves the rows canonical is not caught.
 """
 
 from __future__ import annotations
@@ -128,19 +129,28 @@ def cache_store(entry: CacheEntry, directory: Path | None = None) -> Path:
     return path
 
 
-def _rebuild(entry: CacheEntry, budget: Budget | None) -> EchelonBasis:
-    basis = EchelonBasis(entry.m, budget=budget)
-    for row in entry.rows:
-        support = []
-        b = row
-        while b:
-            low = b & -b
-            support.append(low.bit_length() - 1)
-            b ^= low
-        basis.insert_indices(support)
-    if basis.row_ints() != list(entry.rows):
-        raise ValueError("cache entry is not in canonical echelon form")
-    return basis
+def _load_basis(
+    kind: str, n: int, d: int, m: int, budget: Budget | None, directory: Path | None
+) -> EchelonBasis | None:
+    """The cached basis, or None on a miss or an entry that is not canonical."""
+    entry = cache_load(kind, n, d, directory)
+    if entry is None or entry.m != m:
+        return None
+    if not any(row >> m for row in entry.rows):  # no set bit past the last coordinate
+        basis = EchelonBasis(m, budget=budget)
+        for row in entry.rows:
+            support = []
+            b = row
+            while b:
+                low = b & -b
+                support.append(low.bit_length() - 1)
+                b ^= low
+            basis.insert_indices(support)
+        if basis.row_ints() == list(entry.rows):
+            return basis
+    path = (directory or cache_dir()) / _filename(kind, n, d)
+    print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
+    return None
 
 
 # -- cache-through wrappers around the expensive bases ---------------------------
@@ -150,9 +160,9 @@ def cached_hit_basis(n, d, budget=None, threads=1, directory: Path | None = None
     from . import hit
     from .steenrod import monomial_count
 
-    entry = cache_load("hit", n, d, directory)
-    if entry is not None and entry.m == monomial_count(n, d):
-        space = hit.HitSpace(n, d, _rebuild(entry, budget))
+    basis = _load_basis("hit", n, d, monomial_count(n, d), budget, directory)
+    if basis is not None:
+        space = hit.HitSpace(n, d, basis)
         hit._hit_cache[(n, d)] = space
         return space
     space = hit.hit_basis(n, d, budget=budget, threads=threads)
@@ -167,9 +177,9 @@ def cached_primitive_basis(n, d, budget=None, directory: Path | None = None):
     from . import homology
     from .steenrod import monomial_count
 
-    entry = cache_load("primitive", n, d, directory)
-    if entry is not None and entry.m == monomial_count(n, d):
-        basis = homology.PrimitiveBasis(n, d, _rebuild(entry, budget))
+    echelon = _load_basis("primitive", n, d, monomial_count(n, d), budget, directory)
+    if echelon is not None:
+        basis = homology.PrimitiveBasis(n, d, echelon)
         homology._primitive_cache[(n, d)] = basis
         return basis
     basis = homology.primitive_basis(n, d, budget=budget)
@@ -185,9 +195,8 @@ def cached_primitive_basis(n, d, budget=None, directory: Path | None = None):
 def cached_boundary_echelon(s, w, budget=None, directory: Path | None = None):
     from . import lambda_algebra as lam
 
-    entry = cache_load("lambda-bidegree", s, w, directory)
-    if entry is not None and entry.m == lam.bidegree_count(s, w):
-        basis = _rebuild(entry, budget)
+    basis = _load_basis("lambda-bidegree", s, w, lam.bidegree_count(s, w), budget, directory)
+    if basis is not None:
         lam._boundary_cache[(s, w)] = basis
         return basis
     basis = lam.boundary_echelon(s, w, budget=budget)

@@ -15,6 +15,46 @@ from hitcalc.gf2 import (
 )
 
 
+def eager_rref(rows):
+    """Reference: keep a pivot -> row map fully reduced after every insert."""
+    basis = {}
+    for v in rows:
+        for p, r in basis.items():  # one XOR per pivot set in v, no cascade
+            if v >> p & 1:
+                v ^= r
+        if v:
+            low = v & -v
+            for p, r in basis.items():
+                if r & low:
+                    basis[p] = r ^ v
+            basis[low.bit_length() - 1] = v
+    return [basis[p] for p in sorted(basis)]
+
+
+def eager_reduce(rref, v):
+    for r in rref:
+        if v & r & -r:
+            v ^= r
+    return v
+
+
+def eager_kernel(rref, width):
+    pivots = {(r & -r).bit_length() - 1: r for r in rref}
+    vectors = []
+    for f in range(width):
+        if f not in pivots:
+            v = 1 << f
+            for p, r in pivots.items():
+                if r >> f & 1:
+                    v |= 1 << p
+            vectors.append(v)
+    return eager_rref(vectors)
+
+
+def support(v):
+    return [i for i in range(v.bit_length()) if v >> i & 1]
+
+
 def row(*coords):
     return BitRow.from_coords(coords)
 
@@ -164,3 +204,38 @@ def test_insert_indices_parity():
     assert not b.insert_indices([2, 2])  # cancels to the zero row
     assert b.insert_indices([1, 2, 2, 3, 2])  # = {1, 2, 3}
     assert b.rows == [row(0, 1, 1, 1)]
+
+
+class TestAgainstEagerOracle:
+    WIDTH = 12
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=(1 << 12) - 1)),
+            max_size=16,
+        ),
+        st.integers(min_value=0, max_value=(1 << 12) - 1),
+        st.randoms(use_true_random=False),
+    )
+    def test_forward_elimination_matches_oracle(self, bits, probe, rnd):
+        rows = bits + bits[: len(bits) // 2]  # duplicates
+        rnd.shuffle(rows)
+        half = len(rows) // 2
+        expected = eager_rref(rows)
+
+        one = EchelonBasis(self.WIDTH)
+        for v in rows[:half]:
+            one.insert_indices(support(v))
+        assert one.row_ints() == eager_rref(rows[:half])
+        for v in rows[half:]:  # inserts after the canonical form was read
+            one.insert_indices(support(v))
+        batch = EchelonBasis(self.WIDTH)
+        batch.extend(support(v) for v in rows)
+
+        for b in (one, batch):
+            assert b.rank == len(expected)
+            assert b.pivots == tuple((r & -r).bit_length() - 1 for r in expected)
+            assert b.reduce_int(probe) == eager_reduce(expected, probe)
+            assert b.row_ints() == expected
+            assert b.kernel().row_ints() == eager_kernel(expected, self.WIDTH)

@@ -85,13 +85,22 @@ class TestCohits:
         b = hit_basis(3, 9, threads=4).basis.row_ints()
         assert a == b
 
-    def test_omega_order_changes_nothing(self):
+    def test_generator_row_order_changes_nothing(self, monkeypatch):
         import hitcalc.hit as hit_mod
 
         hit_mod._hit_cache.pop((3, 8), None)
-        a = hit_basis(3, 8, omega_order=False).basis.row_ints()
+        a = hit_basis(3, 8).basis.row_ints()
         hit_mod._hit_cache.pop((3, 8), None)
-        b = hit_basis(3, 8, omega_order=True).basis.row_ints()
+        original = hit_mod._generator_rows
+
+        def shuffled(*args):
+            rows = list(original(*args))
+            random.Random(8).shuffle(rows)
+            return iter(rows)
+
+        monkeypatch.setattr(hit_mod, "_generator_rows", shuffled)
+        b = hit_basis(3, 8).basis.row_ints()
+        hit_mod._hit_cache.pop((3, 8), None)
         assert a == b
 
 

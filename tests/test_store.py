@@ -1,5 +1,8 @@
 import threading
 
+import pytest
+
+from hitcalc.cli import main
 from hitcalc.hit import hit_basis
 from hitcalc.store import (
     CacheEntry,
@@ -54,6 +57,31 @@ class TestValidation:
         blob[4] = 9
         path.write_bytes(bytes(blob))
         assert cache_load("hit", 2, 3, tmp_path) is None
+
+
+    @pytest.mark.parametrize(
+        "byte, bit",
+        [
+            (31, 0),  # the first row's lowest bit, right after the header
+            (38, 7),  # a padding bit above the 55 coordinates of (3, 9)
+        ],
+    )
+    def test_corrupt_body_recomputes(self, tmp_path, capsys, byte, bit):
+        args = ["--cache-dir", str(tmp_path), "cohit", "-n", "3", "-d", "9"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.startswith("dimension 7\n")
+        path = tmp_path / "hit_n3_d9.hpb1"
+        blob = bytearray(path.read_bytes())
+        blob[byte] ^= 1 << bit
+        path.write_bytes(bytes(blob))
+
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("dimension 7\n")
+        assert "ignoring corrupt cache entry" in err
+        assert main(args) == 0  # the recomputed entry was stored again
+        out, err = capsys.readouterr()
+        assert out.startswith("dimension 7\n") and err == ""
 
 
 class TestAtomicity:
