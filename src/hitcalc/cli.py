@@ -74,7 +74,6 @@ class _Ctx:
             else Budget()
         )
         self.allow_heavy = args.allow_heavy
-        self.threads = args.threads
         self.cache: Path | None = None
         if not args.no_cache:
             from .store import cache_dir
@@ -84,12 +83,10 @@ class _Ctx:
 
     def hit(self, n: int, d: int):
         if self.cache is not None:
-            return cached_hit_basis(
-                n, d, budget=self.budget, threads=self.threads, directory=self.cache
-            )
+            return cached_hit_basis(n, d, budget=self.budget, directory=self.cache)
         from .hit import hit_basis
 
-        return hit_basis(n, d, budget=self.budget, threads=self.threads)
+        return hit_basis(n, d, budget=self.budget)
 
     def primitive(self, n: int, d: int):
         if self.cache is not None:
@@ -361,7 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--json", action="store_true", help="JSON report output")
     top.add_argument("--csv", action="store_true", help="CSV report output")
-    top.add_argument("--threads", type=int, default=1, metavar="K")
+    top.add_argument(
+        "--threads", type=int, default=1, metavar="K", help="ignored: runs in one thread"
+    )
     top.add_argument("--budget-mb", type=int, default=None, metavar="M")
     top.add_argument("--allow-heavy", action="store_true")
     top.add_argument("--cache-dir", default=None, metavar="DIR")

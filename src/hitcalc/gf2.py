@@ -36,7 +36,18 @@ __all__ = [
     "insert",
     "kernel_basis",
     "quotient_representatives",
+    "ones",
 ]
+
+
+def ones(bits: int) -> list[int]:
+    """The set coordinates of a bit vector, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,13 +87,7 @@ class BitRow:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
 
     def support(self) -> tuple[int, ...]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return tuple(out)
+        return tuple(ones(self.bits))
 
     def is_zero(self) -> bool:
         return self.bits == 0

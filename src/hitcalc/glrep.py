@@ -4,8 +4,10 @@ A matrix g acts on polynomials by the substitution u_j -> sum_i g[i][j] u_i
 (column j is the image of u_j); over F2 the expansion of a power of a
 linear form is a product over the binary digits of the exponent of
 Frobenius powers, so images stay sparse for the generating matrices.  The
-homology action is the adjoint: <g.xi, f> = <xi, g^{-1}.f>, computed by
-transposing the substitution matrix of g^{-1} on each fixed degree.
+homology action is the adjoint: <g.xi, f> = <xi, g^{-1}.f>.  It is computed
+directly in the divided power algebra, where g acts as the algebra map
+a_i -> sum_j h[i][j] a_j with h = g^{-1}, and only on the coordinates of
+the vectors it is applied to.
 
 Invariants are computed on the cohit quotient, coinvariants on the
 primitive subspace; their dimensions agree degreewise and the test suite
@@ -15,13 +17,14 @@ compares the two routes directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .budget import Budget, DEFAULT_BUDGET
-from .gf2 import EchelonBasis, quotient_representatives
+from .gf2 import EchelonBasis, ones, quotient_representatives
 from .hit import cohit_basis
 from .homology import DElement, PrimitiveBasis, primitive_basis
-from .steenrod import Monomial, Polynomial, degree_index
+from .homology import _bits_element, _element_bits
+from .steenrod import Monomial, Polynomial, _tuples, degree_index
 
 __all__ = [
     "GLMatrix",
@@ -201,42 +204,74 @@ def act_poly(g: GLMatrix, p: Polynomial) -> Polynomial:
     return Polynomial(acc, p.n)
 
 
-_action_cache: dict[tuple[GLMatrix, int, int], list[list[int]]] = {}
+def _dp_image(
+    supports: tuple[tuple[int, ...], ...], dexps: tuple[int, ...]
+) -> set[tuple[int, ...]]:
+    """Exponent tuples of the image of one d-monomial, mod 2, under the
+    algebra map a_i -> sum_{j in supports[i]} a_j of divided power algebras.
 
-
-def _homology_action_columns(g: GLMatrix, n: int, d: int) -> list[list[int]]:
-    """Sparse columns of the homology action of g on the degree-d basis.
-
-    Column sigma lists the target indices of the image of the sigma-th
-    d-monomial; obtained by transposing the substitution matrix of g^{-1}.
+    A divided power of a sum expands with no coefficients,
+    (x + y)^(k) = sum_{i+j=k} x^(i) y^(j), and a^(p) a^(q) is a^(p+q) when
+    p & q = 0 and zero otherwise (Lucas).
     """
-    key = (g, n, d)
-    cached = _action_cache.get(key)
-    if cached is not None:
-        return cached
-    index = degree_index(n, d)
-    ginv = g.inverse()
-    cols: list[list[int]] = [[] for _ in range(len(index))]
-    for exps, tau in index.items():
-        for t in _act_exponents(ginv, exps):
-            cols[index[t]].append(tau)
-    _action_cache[key] = cols
-    return cols
+    # rows with one entry only move an exponent; they go first, as one tuple
+    moved = [0] * len(dexps)
+    for e, (j, *spread) in zip(dexps, supports):
+        if not spread:
+            if e & moved[j]:
+                return set()
+            moved[j] += e
+    acc = {tuple(moved)}
+    for e, support in zip(dexps, supports):
+        if len(support) == 1:
+            continue
+        *spread, last = support
+        # (t, rem): the partial product t times the divided power rem of the
+        # sum of the support variables not yet visited
+        states = {(t, e) for t in acc}
+        for j in spread:
+            nxt: set[tuple[tuple[int, ...], int]] = set()
+            for t, rem in states:
+                tj = t[j]
+                for k in range(rem + 1):
+                    if not k & tj:
+                        grown = t[:j] + (tj + k,) + t[j + 1 :]
+                        nxt.symmetric_difference_update(((grown, rem - k),))
+            states = nxt
+        acc = set()
+        for t, rem in states:
+            if not rem & t[last]:
+                grown = t[:last] + (t[last] + rem,) + t[last + 1 :]
+                acc.symmetric_difference_update((grown,))
+    return acc
 
 
-def _apply_columns(cols: list[list[int]], bits: int, dim: int) -> int:
-    flips = bytearray(dim)
-    b = bits
-    while b:
-        low = b & -b
-        for tau in cols[low.bit_length() - 1]:
-            flips[tau] ^= 1
-        b ^= low
-    out = 0
-    for i, f in enumerate(flips):
-        if f:
-            out |= 1 << i
-    return out
+def _homology_action(g: GLMatrix, d: int) -> Callable[[Iterable[int]], int]:
+    """The action of g on degree-d d-elements, as a map from the set
+    coordinates of a vector to the bits of its image.
+
+    g acts on the divided power algebra as the algebra map
+    a_i -> sum_j h[i][j] a_j with h = g^{-1}, the adjoint of the
+    substitution by g^{-1}.  Images are computed only for the coordinates
+    the map is applied to, and memoised as ints of set bits.
+    """
+    h = g.inverse().entries
+    supports = tuple(tuple(j for j in range(g.n) if row[j]) for row in h)
+    index = degree_index(g.n, d)
+    tuples = _tuples(g.n, d)
+    images: dict[int, int] = {}
+
+    def act(coords: Iterable[int]) -> int:
+        out = 0
+        for sigma in coords:
+            image = images.get(sigma)
+            if image is None:
+                image = sum(1 << index[t] for t in _dp_image(supports, tuples[sigma]))
+                images[sigma] = image
+            out ^= image
+        return out
+
+    return act
 
 
 def act_homology(g: GLMatrix, xi: DElement) -> DElement:
@@ -248,19 +283,11 @@ def act_homology(g: GLMatrix, xi: DElement) -> DElement:
     d = xi.degree
     assert d is not None
     index = degree_index(xi.n, d)
-    tuples = list(index)
-    cols = _homology_action_columns(g, xi.n, d)
-    flips = bytearray(len(tuples))
-    for t in xi.terms:
-        for tau in cols[index[t.dexponents]]:
-            flips[tau] ^= 1
-    return DElement.from_tuples(
-        (tuples[i] for i, f in enumerate(flips) if f), xi.n
-    )
+    image = _homology_action(g, d)(index[t.dexponents] for t in xi.terms)
+    return _bits_element(image, xi.n, d)
 
 
 def clear_caches() -> None:
-    _action_cache.clear()
     _coinvariant_cache.clear()
 
 
@@ -351,19 +378,18 @@ def _coinvariant_data(
     relations = EchelonBasis(p, budget=budget or DEFAULT_BUDGET)
     if p:
         rows = prim.echelon.row_ints()
-        pivots = prim.echelon.pivots
-        dim = len(degree_index(n, d))
+        position = {piv: j for j, piv in enumerate(prim.echelon.pivots)}
+        pivot_mask = sum(1 << piv for piv in position)
+        coords = [ones(v) for v in rows]
         for g in generators(n):
-            cols = _homology_action_columns(g, n, d)
-            for v in rows:
-                w = _apply_columns(cols, v, dim) ^ v
+            act = _homology_action(g, d)
+            for v, support in zip(rows, coords):
+                w = act(support) ^ v
                 if prim.echelon.reduce_int(w) != 0:
                     raise RuntimeError(
                         "group image left the primitive subspace; convention bug"
                     )
-                relations.insert_indices(
-                    [j for j, piv in enumerate(pivots) if (w >> piv) & 1]
-                )
+                relations.insert_indices([position[c] for c in ones(w & pivot_mask)])
     _coinvariant_cache[(n, d)] = (prim, relations)
     return prim, relations
 
@@ -380,9 +406,7 @@ def coinvariant_classes(
     p = prim.dimension
     if p == 0:
         return CoinvariantReport(n, d, 0, (), 0)
-    free = quotient_representatives(p, relations)
-    elements = prim.elements()
-    reps = tuple(elements[j] for j in free)
+    reps = tuple(prim.elements(quotient_representatives(p, relations)))
     return CoinvariantReport(n, d, p - relations.rank, reps, relations.rank)
 
 
@@ -390,14 +414,9 @@ def coinvariant_class_nonzero(
     n: int, d: int, xi: DElement, budget: Budget | None = None
 ) -> bool:
     """Whether a primitive element has nonzero class in the coinvariants."""
-    from .homology import _element_bits
-
     prim, relations = _coinvariant_data(n, d, budget)
     bits = _element_bits(xi, n, d)
     if prim.echelon.reduce_int(bits) != 0:
         raise ValueError("element is not in the primitive subspace")
-    coords = 0
-    for j, piv in enumerate(prim.echelon.pivots):
-        if (bits >> piv) & 1:
-            coords |= 1 << j
+    coords = sum(1 << j for j, p in enumerate(prim.echelon.pivots) if bits >> p & 1)
     return relations.reduce_int(coords) != 0

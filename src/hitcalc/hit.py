@@ -8,14 +8,13 @@ against the all-k span on small instances rather than assuming it.
 
 Cohit representatives are the non-pivot monomials of the canonical echelon
 form under the global ascending-lex enumeration, so results are identical
-across runs and thread counts.
+across runs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .budget import Budget, DEFAULT_BUDGET
 from .gf2 import EchelonBasis
@@ -78,38 +77,17 @@ def _square_degrees(d: int) -> list[int]:
     return out
 
 
-def _generator_rows(n: int, d: int, threads: int) -> Iterator[list[int]]:
+def _generator_rows(n: int, d: int) -> Iterator[list[int]]:
     index = degree_index(n, d)
-    sources: list[tuple[int, tuple[int, ...]]] = []
     for k in _square_degrees(d):
         for m in enumerate_monomials(n, d - k):
-            sources.append((k, m.exponents))
-
-    def expand(chunk: Sequence[tuple[int, tuple[int, ...]]]) -> list[list[int]]:
-        return [
-            [index[t] for t in sq_exponent_targets(k, exps)] for k, exps in chunk
-        ]
-
-    if threads <= 1:
-        for k, exps in sources:
-            yield [index[t] for t in sq_exponent_targets(k, exps)]
-        return
-
-    chunks = [sources[i : i + 1024] for i in range(0, len(sources), 1024)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for rows in pool.map(expand, chunks):
-            yield from rows
+            yield [index[t] for t in sq_exponent_targets(k, m.exponents)]
 
 
 _hit_cache: dict[tuple[int, int], HitSpace] = {}
 
 
-def hit_basis(
-    n: int,
-    d: int,
-    budget: Budget | None = None,
-    threads: int = 1,
-) -> HitSpace:
+def hit_basis(n: int, d: int, budget: Budget | None = None) -> HitSpace:
     """Canonical echelon basis of the hit subspace of degree d in n variables."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
@@ -120,17 +98,15 @@ def hit_basis(
     dim = monomial_count(n, d)
     budget.check_bytes(dim * ((dim + 63) // 64) * 8, f"hit space ({n}, {d})")
     basis = EchelonBasis(dim, budget=budget)
-    basis.extend(_generator_rows(n, d, threads))
+    basis.extend(_generator_rows(n, d))
     space = HitSpace(n, d, basis)
     _hit_cache[(n, d)] = space
     return space
 
 
-def cohit_basis(
-    n: int, d: int, budget: Budget | None = None, threads: int = 1
-) -> CohitBasis:
+def cohit_basis(n: int, d: int, budget: Budget | None = None) -> CohitBasis:
     """Monomial representatives of a basis of the degree-d cohit quotient."""
-    space = hit_basis(n, d, budget=budget, threads=threads)
+    space = hit_basis(n, d, budget=budget)
     monos = enumerate_monomials(n, d)
     pivots = set(space.basis.pivots)
     reps = tuple(m for i, m in enumerate(monos) if i not in pivots)

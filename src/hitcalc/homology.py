@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .budget import Budget, DEFAULT_BUDGET
-from .gf2 import EchelonBasis
+from .gf2 import EchelonBasis, ones
 from .hit import _square_degrees, hit_basis
-from .steenrod import Polynomial, degree_index, monomial_count
+from .steenrod import Polynomial, _tuples, degree_index, monomial_count
 
 __all__ = [
     "DMonomial",
@@ -232,18 +232,12 @@ class PrimitiveBasis:
     def dimension(self) -> int:
         return self.echelon.rank
 
-    def elements(self) -> list[DElement]:
-        tuples = list(degree_index(self.n, self.d))
-        out = []
-        for row in self.echelon.row_ints():
-            terms = []
-            b = row
-            while b:
-                low = b & -b
-                terms.append(tuples[low.bit_length() - 1])
-                b ^= low
-            out.append(DElement.from_tuples(terms, self.n))
-        return out
+    def elements(self, which: Iterable[int] | None = None) -> list[DElement]:
+        """The basis vectors as d-elements: all, or those at the indices in which."""
+        rows = self.echelon.row_ints()
+        if which is not None:
+            rows = [rows[j] for j in which]
+        return [_bits_element(row, self.n, self.d) for row in rows]
 
     def contains(self, xi: DElement) -> bool:
         return self.echelon.reduce_int(_element_bits(xi, self.n, self.d)) == 0
@@ -255,6 +249,12 @@ def _element_bits(xi: DElement, n: int, d: int) -> int:
     for t in xi.terms:
         bits ^= 1 << index[t.dexponents]
     return bits
+
+
+def _bits_element(bits: int, n: int, d: int) -> DElement:
+    """The inverse of ``_element_bits``."""
+    tuples = _tuples(n, d)
+    return DElement.from_tuples((tuples[i] for i in ones(bits)), n)
 
 
 _primitive_cache: dict[tuple[int, int], PrimitiveBasis] = {}

@@ -156,7 +156,7 @@ def _load_basis(
 # -- cache-through wrappers around the expensive bases ---------------------------
 
 
-def cached_hit_basis(n, d, budget=None, threads=1, directory: Path | None = None):
+def cached_hit_basis(n, d, budget=None, directory: Path | None = None):
     from . import hit
     from .steenrod import monomial_count
 
@@ -165,7 +165,7 @@ def cached_hit_basis(n, d, budget=None, threads=1, directory: Path | None = None
         space = hit.HitSpace(n, d, basis)
         hit._hit_cache[(n, d)] = space
         return space
-    space = hit.hit_basis(n, d, budget=budget, threads=threads)
+    space = hit.hit_basis(n, d, budget=budget)
     cache_store(
         CacheEntry("hit", n, d, space.basis.ambient_length, tuple(space.basis.row_ints())),
         directory,

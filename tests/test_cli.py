@@ -38,6 +38,12 @@ class TestQueries:
         assert lines[0] == "dimension 3"
         assert lines[1:4] == ["0.3", "2.1", "3.0"]
 
+    def test_threads_flag_is_accepted_and_ignored(self, run):
+        argv = ("--no-cache", "cohit", "-n", "3", "-d", "9", "--basis")
+        plain = run(*argv)
+        assert plain[0] == 0
+        assert run("--threads", "2", *argv) == plain
+
     def test_primitives(self, run):
         code, out, _ = run("primitives", "-n", "2", "-d", "2", "--basis")
         assert code == 0
