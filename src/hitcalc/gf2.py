@@ -192,11 +192,8 @@ class EchelonBasis:
             row = rows[p]
             # Rows with higher pivots are canonical already, so the pivots
             # set in this row are cleared by one XOR each, with no cascade.
-            hits = (row & mask) ^ (1 << p)
-            while hits:
-                low = hits & -hits
-                row ^= rows[low.bit_length() - 1]
-                hits ^= low
+            for q in ones((row & mask) ^ (1 << p)):
+                row ^= rows[q]
             rows[p] = row
         self._canonical = True
 
@@ -207,6 +204,12 @@ class EchelonBasis:
             if i >= self.ambient_length or i < 0:
                 raise ValueError(f"coordinate {i} outside ambient space")
             bits ^= 1 << i
+        return self._insert(bits)
+
+    def insert_int(self, bits: int) -> bool:
+        """Insert a row given as an int, bit i = coordinate i."""
+        if bits < 0 or bits >> self.ambient_length:
+            raise ValueError(f"row has a bit outside ambient {self.ambient_length}")
         return self._insert(bits)
 
     def insert(self, v: BitRow) -> bool:
@@ -242,14 +245,9 @@ class EchelonBasis:
         """
         columns: dict[int, list[int]] = {}
         for row in self.row_ints():
-            low = row & -row
-            pivot = low.bit_length() - 1
-            rest = row ^ low
-            while rest:
-                low = rest & -rest
-                f = low.bit_length() - 1
+            pivot, *rest = ones(row)
+            for f in rest:
                 columns.setdefault(f, [f]).append(pivot)
-                rest ^= low
         out = EchelonBasis(self.ambient_length, budget=budget)
         out.extend(
             columns.get(f, [f])

@@ -313,12 +313,9 @@ def invariant_basis(
     rep_pos = {m.exponents: i for i, m in enumerate(reps)}
 
     def cohit_coords(bits: int) -> int:
-        residue = hit.reduce_int(bits)
         coords = 0
-        while residue:
-            low = residue & -residue
-            coords |= 1 << rep_pos[tuples[low.bit_length() - 1]]
-            residue ^= low
+        for i in ones(hit.reduce_int(bits)):
+            coords |= 1 << rep_pos[tuples[i]]
         return coords
 
     relation_rows = EchelonBasis(q, budget=budget or DEFAULT_BUDGET)
@@ -331,24 +328,15 @@ def invariant_basis(
             bits = 0
             for t in _act_exponents(g, m.exponents):
                 bits ^= 1 << index[t]
-            col = cohit_coords(bits) ^ (1 << c)
-            while col:
-                low = col & -col
-                rows_of_g[low.bit_length() - 1].append(c)
-                col ^= low
+            for r in ones(cohit_coords(bits) ^ (1 << c)):
+                rows_of_g[r].append(c)
         for support in rows_of_g:
             if support:
                 relation_rows.insert_indices(support)
     fixed = relation_rows.kernel(budget=budget)
-    out = []
-    for vec in fixed.row_ints():
-        terms = []
-        while vec:
-            low = vec & -vec
-            terms.append(reps[low.bit_length() - 1])
-            vec ^= low
-        out.append(Polynomial(terms, n))
-    return out
+    return [
+        Polynomial([reps[i] for i in ones(vec)], n) for vec in fixed.row_ints()
+    ]
 
 
 # -- coinvariants of primitives --------------------------------------------------

@@ -13,6 +13,9 @@ across runs.
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -21,12 +24,11 @@ from .gf2 import EchelonBasis
 from .steenrod import (
     Monomial,
     Polynomial,
+    _odd_submasks,
     alpha,
-    degree_index,
     enumerate_monomials,
     monomial_count,
     mu,
-    sq_exponent_targets,
 )
 
 __all__ = [
@@ -69,26 +71,82 @@ class CohitBasis:
 
 def _square_degrees(d: int) -> list[int]:
     """The operation degrees 2^i whose image in degree d can be nonzero."""
-    out = []
-    k = 1
-    while 2 * k <= d:  # Sq^k annihilates polynomials of degree < k
-        out.append(k)
-        k *= 2
-    return out
+    # Sq^k annihilates polynomials of degree < k, so 2k <= d
+    return [1 << i for i in range(d.bit_length() - 1)]
 
 
-def _generator_rows(n: int, d: int) -> Iterator[list[int]]:
-    index = degree_index(n, d)
-    for k in _square_degrees(d):
-        for m in enumerate_monomials(n, d - k):
-            yield [index[t] for t in sq_exponent_targets(k, m.exponents)]
+@functools.lru_cache(maxsize=None)
+def _block_starts(n: int, d: int) -> tuple[int, ...]:
+    """Entry a: lex index of the first degree-d monomial with first exponent a."""
+    counts = (monomial_count(n - 1, d - a) for a in range(d + 1))
+    return tuple(itertools.accumulate(counts, initial=0))
+
+
+def _generator_rows(n: int, d: int) -> Iterator[int]:
+    """The nonzero rows Sq^(2^i)(u^e) of the degree-d hit space, as ints.
+
+    Bit j is the j-th degree-d monomial in lex order.  Sq^k(u^((a,) + w)) is
+    the sum over submasks k1 of a of u^(a + k1) Sq^(k - k1)(u^w) (Cartan),
+    and the monomials with first exponent a + k1 are one block of the
+    enumeration, so ``walk`` fixes exponents from the left carrying each
+    term's remaining square and block offset.  Rows in the last two
+    variables are memoised for this call only.  The sources of each k are
+    walked in descending lex order, and the streams of all k are merged on
+    the lowest set coordinate: near the order that keeps forward
+    elimination cheap (see ``gf2``), with no row list built or sorted.
+    """
+    if n == 1:  # Sq^k(u^(d-k)) = C(d - k, k) u^d
+        yield from (1 for k in _square_degrees(d) if k & ~(d - k) == 0)
+        return
+    pair_rows: dict[tuple[int, int, int], int] = {}
+
+    def walk(nv: int, deg: int, terms: list[tuple[int, int]]) -> Iterator[int]:
+        # each source yields the OR over terms (k, shift) of Sq^k(source) << shift
+        if nv == 2:
+            for b in range(deg, -1, -1):
+                row = 0
+                for k, shift in terms:
+                    key = (k, b, deg - b)
+                    r = pair_rows.get(key)
+                    if r is None:  # C(b, k1) C(deg - b, k - k1) odd
+                        r = pair_rows[key] = sum(
+                            1 << (b + k1)
+                            for k1 in _odd_submasks(b)
+                            if k1 <= k and (k - k1) & ~(deg - b) == 0
+                        )
+                    if r:
+                        row |= r << shift
+                if row:
+                    yield row
+            return
+        for a in range(deg, -1, -1):
+            rest = deg - a
+            sub = []
+            for k, shift in terms:
+                starts = _block_starts(nv, deg + k)
+                for k1 in _odd_submasks(a):
+                    if k1 > k:
+                        break
+                    if k - k1 <= rest:
+                        sub.append((k - k1, shift + starts[a + k1]))
+            if sub:
+                yield from walk(nv - 1, rest, sub)
+
+    yield from heapq.merge(
+        *(walk(n, d - k, [(k, 0)]) for k in _square_degrees(d)),
+        key=lambda row: row & -row,
+        reverse=True,
+    )
 
 
 _hit_cache: dict[tuple[int, int], HitSpace] = {}
 
 
 def hit_basis(n: int, d: int, budget: Budget | None = None) -> HitSpace:
-    """Canonical echelon basis of the hit subspace of degree d in n variables."""
+    """Canonical echelon basis of the hit subspace of degree d in n variables.
+
+    The generator rows go into the elimination as they are produced.
+    """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     cached = _hit_cache.get((n, d))
@@ -98,7 +156,8 @@ def hit_basis(n: int, d: int, budget: Budget | None = None) -> HitSpace:
     dim = monomial_count(n, d)
     budget.check_bytes(dim * ((dim + 63) // 64) * 8, f"hit space ({n}, {d})")
     basis = EchelonBasis(dim, budget=budget)
-    basis.extend(_generator_rows(n, d))
+    for row in _generator_rows(n, d):
+        basis.insert_int(row)
     space = HitSpace(n, d, basis)
     _hit_cache[(n, d)] = space
     return space

@@ -10,9 +10,11 @@ a^(d) a^(e) = C(d+e, d) a^(d+e).
 on a d-monomial it sends a^(m) to the sum over compositions k = k_1+...+k_n
 of prod_i C(m_i - k_i, k_i) a^(m-k), which is exactly how the transposed
 Cartan matrix acts on a sparse element.  The primitive subspace of degree d
-is the joint kernel of the dual squares of 2-power degree; its dimension
-matches the cohit dimension, a cross-check of the two code paths that the
-test suite exercises rather than assumes.
+is the joint kernel of the dual squares of 2-power degree, which is the
+annihilator of the hit subspace under the pairing.  ``primitive_basis``
+computes it as the kernel of the canonical hit rows, so its dimension is
+the cohit dimension by construction; the test suite assembles the joint
+kernel from the dual squares independently and checks that both agree.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Iterator
 
 from .budget import Budget, DEFAULT_BUDGET
 from .gf2 import EchelonBasis, ones
-from .hit import _square_degrees, hit_basis
+from .hit import hit_basis
 from .steenrod import Polynomial, _tuples, degree_index, monomial_count
 
 __all__ = [
@@ -259,13 +261,13 @@ def _bits_element(bits: int, n: int, d: int) -> DElement:
 
 _primitive_cache: dict[tuple[int, int], PrimitiveBasis] = {}
 
-#: Above this ambient dimension the joint-kernel matrix is not assembled from
-#: the transposed action; the kernel of the (identical) hit row space is used.
-DUAL_ASSEMBLY_LIMIT = 60_000
-
 
 def primitive_basis(n: int, d: int, budget: Budget | None = None) -> PrimitiveBasis:
-    """Joint kernel of the dual squares of 2-power degree <= d, echelonized."""
+    """Joint kernel of the dual squares of 2-power degree <= d, echelonized.
+
+    A d-element is primitive iff it pairs to zero with every hit polynomial,
+    so this is the kernel of the canonical hit rows.
+    """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     cached = _primitive_cache.get((n, d))
@@ -274,19 +276,8 @@ def primitive_basis(n: int, d: int, budget: Budget | None = None) -> PrimitiveBa
     budget = budget or DEFAULT_BUDGET
     dim = monomial_count(n, d)
     budget.check_bytes(dim * ((dim + 63) // 64) * 8, f"primitive space ({n}, {d})")
-
-    if dim > DUAL_ASSEMBLY_LIMIT:
-        stacked = hit_basis(n, d, budget=budget).basis
-    else:
-        index = degree_index(n, d)
-        rows: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        for src, i in index.items():
-            for k in _square_degrees(d):
-                for target in dual_sq_targets(k, src):
-                    rows.setdefault((k, target), []).append(i)
-        stacked = EchelonBasis(dim, budget=budget)
-        stacked.extend(rows.values())
-    basis = PrimitiveBasis(n, d, stacked.kernel(budget=budget))
+    hit = hit_basis(n, d, budget=budget).basis
+    basis = PrimitiveBasis(n, d, hit.kernel(budget=budget))
     _primitive_cache[(n, d)] = basis
     return basis
 

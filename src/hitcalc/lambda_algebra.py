@@ -271,15 +271,19 @@ def _d_generator(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _differential_words(words: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+    """Normalized words of the differential of a sum of words with indices >= 0."""
+    return _normalize_words(
+        w[:r] + pair + w[r + 1 :]
+        for w in words
+        for r, idx in enumerate(w)
+        for pair in _d_generator(idx)
+    )
+
+
 def differential(e: LambdaElement) -> LambdaElement:
     """Leibniz extension of the generator differential, fully normalized."""
-    raw: set[tuple[int, ...]] = set()
-    for w in e.words:
-        for r, idx in enumerate(w):
-            head, tail = w[:r], w[r + 1 :]
-            for a, b in _d_generator(idx):
-                raw.symmetric_difference_update((head + (a, b) + tail,))
-    return LambdaElement(_normalize_words(raw))
+    return LambdaElement(_differential_words(e.words))
 
 
 def is_cycle(e: LambdaElement) -> bool:
@@ -364,7 +368,7 @@ def boundary_echelon(s: int, w: int, budget: Budget | None = None) -> EchelonBas
     basis = EchelonBasis(len(target), budget=budget)
     if s >= 1:
         basis.extend(
-            [index[t] for t in differential(LambdaElement((source,))).words]
+            [index[t] for t in _differential_words((source,))]
             for source in bidegree_basis_tuples(s - 1, w + 1)
         )
     _boundary_cache[key] = basis

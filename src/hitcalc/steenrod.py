@@ -67,13 +67,6 @@ def generic_degree(k: int, t: int, ell: int) -> GenericDegree:
     return GenericDegree(value, mu(ell) < k)
 
 
-def binom_odd(a: int, b: int) -> bool:
-    """Parity of C(a, b) for 0 <= b <= a (Lucas); False outside that range."""
-    if b < 0 or b > a:
-        return False
-    return (b & (a - b)) == 0
-
-
 # -- monomials and polynomials -------------------------------------------------
 
 

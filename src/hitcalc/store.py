@@ -139,13 +139,7 @@ def _load_basis(
     if not any(row >> m for row in entry.rows):  # no set bit past the last coordinate
         basis = EchelonBasis(m, budget=budget)
         for row in entry.rows:
-            support = []
-            b = row
-            while b:
-                low = b & -b
-                support.append(low.bit_length() - 1)
-                b ^= low
-            basis.insert_indices(support)
+            basis.insert_int(row)
         if basis.row_ints() == list(entry.rows):
             return basis
     path = (directory or cache_dir()) / _filename(kind, n, d)

@@ -206,6 +206,27 @@ def test_insert_indices_parity():
     assert b.rows == [row(0, 1, 1, 1)]
 
 
+class TestInsertInt:
+    def test_negative_row_raises(self):
+        with pytest.raises(ValueError):
+            EchelonBasis(4).insert_int(-1)
+
+    def test_bit_at_ambient_length_raises(self):
+        b = EchelonBasis(4)
+        with pytest.raises(ValueError):
+            b.insert_int(1 << 4)
+        with pytest.raises(ValueError):
+            b.insert_int(0b10001)
+        assert b.rank == 0
+
+    def test_matches_insert_indices(self):
+        by_int, by_indices = EchelonBasis(5), EchelonBasis(5)
+        for v in (0b10110, 0b00110, 0, 0b10000, 0b01001, 0b10110):
+            assert by_int.insert_int(v) == by_indices.insert_indices(support(v))
+        assert by_int.row_ints() == by_indices.row_ints()
+        assert by_int.pivots == by_indices.pivots
+
+
 class TestAgainstEagerOracle:
     WIDTH = 12
 
@@ -232,8 +253,11 @@ class TestAgainstEagerOracle:
             one.insert_indices(support(v))
         batch = EchelonBasis(self.WIDTH)
         batch.extend(support(v) for v in rows)
+        packed = EchelonBasis(self.WIDTH)
+        for v in rows:
+            packed.insert_int(v)
 
-        for b in (one, batch):
+        for b in (one, batch, packed):
             assert b.rank == len(expected)
             assert b.pivots == tuple((r & -r).bit_length() - 1 for r in expected)
             assert b.reduce_int(probe) == eager_reduce(expected, probe)

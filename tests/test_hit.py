@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
 from hitcalc.budget import Budget, BudgetError
 from hitcalc.gf2 import EchelonBasis
 from hitcalc.hit import (
+    _generator_rows,
+    _square_degrees,
     cohit_basis,
     cohit_dim,
     hit_basis,
@@ -34,6 +37,26 @@ def all_k_hit_rank(n, d):
                 [index[t] for t in sq_exponent_targets(k, m.exponents)]
             )
     return basis.rank
+
+
+def sq_target_rows(n, d):
+    """Reference: the nonzero Sq^(2^i) rows, term by term through degree_index."""
+    index = degree_index(n, d)
+    rows = []
+    for k in _square_degrees(d):
+        for m in enumerate_monomials(n, d - k):
+            bits = 0
+            for t in sq_exponent_targets(k, m.exponents):
+                bits ^= 1 << index[t]
+            if bits:
+                rows.append(bits)
+    return rows
+
+
+def test_packed_generator_rows_match_targets():
+    cases = [(n, d) for n in (1, 2, 3) for d in range(21)] + [(4, 23), (5, 12)]
+    for n, d in cases:
+        assert Counter(_generator_rows(n, d)) == Counter(sq_target_rows(n, d)), (n, d)
 
 
 class TestHitBasis:

@@ -1,21 +1,44 @@
+import functools
 import random
 
 import pytest
 
-from hitcalc.hit import cohit_dim
+from hitcalc.gf2 import EchelonBasis
+from hitcalc.hit import _square_degrees, cohit_dim
 from hitcalc.homology import (
     DElement,
     DMonomial,
     dp_product,
     dual_kameko_up,
     dual_sq,
+    dual_sq_targets,
     pair,
     parse_delement,
     parse_dmonomial,
     primitive_basis,
     zeta_element,
 )
-from hitcalc.steenrod import Monomial, Polynomial, enumerate_monomials, sq
+from hitcalc.steenrod import (
+    Monomial,
+    Polynomial,
+    degree_index,
+    enumerate_monomials,
+    sq,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def dual_primitive_kernel(n, d):
+    """Oracle: the joint kernel of the dual squares, assembled from dual_sq_targets."""
+    index = degree_index(n, d)
+    rows = {}
+    for src, i in index.items():
+        for k in _square_degrees(d):
+            for target in dual_sq_targets(k, src):
+                rows.setdefault((k, target), []).append(i)
+    stacked = EchelonBasis(len(index))
+    stacked.extend(rows.values())
+    return stacked.kernel()
 
 
 def dmono(*exps):
@@ -96,7 +119,15 @@ class TestPrimitives:
     def test_dimension_matches_cohits(self):
         for n in range(1, 5):
             for d in range(0, 15):
-                assert primitive_basis(n, d).dimension == cohit_dim(n, d), (n, d)
+                assert dual_primitive_kernel(n, d).rank == cohit_dim(n, d), (n, d)
+
+    def test_hit_kernel_matches_dual_assembly(self):
+        cases = [(n, d) for n in range(1, 5) for d in range(31)] + [(4, 35)]
+        for n, d in cases:
+            assert (
+                primitive_basis(n, d).echelon.row_ints()
+                == dual_primitive_kernel(n, d).row_ints()
+            ), (n, d)
 
 
 class TestDualKameko:
