@@ -9,14 +9,7 @@ verification drivers for the published dimension statements these feed.
 """
 
 from .budget import Budget, BudgetError, DEFAULT_BUDGET, HEAVY_BUDGET
-from .gf2 import (
-    BitRow,
-    EchelonBasis,
-    insert,
-    kernel_basis,
-    quotient_representatives,
-    reduce_against,
-)
+from .gf2 import BitRow, EchelonBasis, quotient_representatives
 from .glrep import (
     CoinvariantReport,
     GLMatrix,

@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
+from . import store
 from .budget import Budget, BudgetError, HEAVY_BUDGET
 from .glrep import coinvariant_class_nonzero, coinvariant_classes, invariant_basis
 from .hit import cohit_basis, reduce_degree_chain
@@ -23,7 +23,6 @@ from .lambda_algebra import (
 )
 from .reports import VerdictReport, emit_report
 from .steenrod import alpha, generic_degree, mu
-from .store import cached_boundary_echelon, cached_hit_basis, cached_primitive_basis
 from .transfer import class_equal, label_dictionary, psi, transfer_report
 
 
@@ -74,31 +73,8 @@ class _Ctx:
             else Budget()
         )
         self.allow_heavy = args.allow_heavy
-        self.cache: Path | None = None
-        if not args.no_cache:
-            from .store import cache_dir
-
-            self.cache = cache_dir(args.cache_dir)
+        store.configure(None if args.no_cache else store.cache_dir(args.cache_dir))
         self.fmt = "json" if args.json else "csv" if args.csv else "text"
-
-    def hit(self, n: int, d: int):
-        if self.cache is not None:
-            return cached_hit_basis(n, d, budget=self.budget, directory=self.cache)
-        from .hit import hit_basis
-
-        return hit_basis(n, d, budget=self.budget)
-
-    def primitive(self, n: int, d: int):
-        if self.cache is not None:
-            return cached_primitive_basis(n, d, budget=self.budget, directory=self.cache)
-        return primitive_basis(n, d, budget=self.budget)
-
-    def boundary(self, s: int, w: int):
-        if self.cache is not None:
-            return cached_boundary_echelon(s, w, budget=self.budget, directory=self.cache)
-        from .lambda_algebra import boundary_echelon
-
-        return boundary_echelon(s, w, budget=self.budget)
 
     def require_heavy(self, what: str) -> None:
         if not self.allow_heavy:
@@ -121,7 +97,6 @@ def _cmd_mu(args, ctx) -> int:
 
 
 def _cmd_cohit(args, ctx: _Ctx) -> int:
-    ctx.hit(args.n, args.d)
     basis = cohit_basis(args.n, args.d, budget=ctx.budget)
     print(f"dimension {basis.dimension}")
     if args.basis:
@@ -134,7 +109,7 @@ def _cmd_cohit(args, ctx: _Ctx) -> int:
 
 
 def _cmd_primitives(args, ctx: _Ctx) -> int:
-    basis = ctx.primitive(args.n, args.d)
+    basis = primitive_basis(args.n, args.d, budget=ctx.budget)
     print(f"dimension {basis.dimension}")
     if args.basis:
         for e in basis.elements():
@@ -143,7 +118,6 @@ def _cmd_primitives(args, ctx: _Ctx) -> int:
 
 
 def _cmd_invariants(args, ctx: _Ctx) -> int:
-    ctx.hit(args.n, args.d)
     classes = invariant_basis(args.n, args.d, budget=ctx.budget)
     print(f"dimension {len(classes)}")
     for c in classes:
@@ -152,7 +126,6 @@ def _cmd_invariants(args, ctx: _Ctx) -> int:
 
 
 def _cmd_coinvariants(args, ctx: _Ctx) -> int:
-    ctx.primitive(args.n, args.d)
     report = coinvariant_classes(args.n, args.d, budget=ctx.budget)
     print(f"dimension {report.dimension} (relations rank {report.relations_rank})")
     for e in report.class_representatives:
@@ -161,9 +134,6 @@ def _cmd_coinvariants(args, ctx: _Ctx) -> int:
 
 
 def _cmd_transfer(args, ctx: _Ctx) -> int:
-    ctx.primitive(args.n, args.d)
-    if ctx.cache is not None:
-        ctx.boundary(args.n, args.d)
     report = transfer_report(args.n, args.d, budget=ctx.budget)
     verdict = VerdictReport(
         claim=f"transfer:n={args.n},d={args.d}",
@@ -197,10 +167,6 @@ def _cmd_lambda_d(args, ctx) -> int:
 
 
 def _cmd_ext(args, ctx: _Ctx) -> int:
-    if ctx.cache is not None:
-        if args.w >= 1:
-            ctx.boundary(args.s + 1, args.w - 1)
-        ctx.boundary(args.s, args.w)
     print(homology_dim(args.s, args.w, budget=ctx.budget))
     return 0
 
@@ -213,7 +179,6 @@ def _verify_thm21(args, ctx: _Ctx) -> list[VerdictReport]:
     d = _generic4_degree(t, s, u)
     expected, family = thm21_expected(t, s, u)
     start = time.monotonic()
-    ctx.primitive(4, d)
     report = coinvariant_classes(4, d, budget=ctx.budget)
     ok = report.dimension == expected
     reps: list[dict] = []
@@ -254,11 +219,6 @@ def _verify_cor22(args, ctx: _Ctx) -> list[VerdictReport]:
     d = _generic4_degree(t, s, u)
     expected, family = thm21_expected(t, s, u)
     start = time.monotonic()
-    ctx.primitive(4, d)
-    if ctx.cache is not None:
-        if d >= 1:
-            ctx.boundary(5, d - 1)
-        ctx.boundary(4, d)
     coinv = coinvariant_classes(4, d, budget=ctx.budget).dimension
     ext = homology_dim(4, d, budget=ctx.budget)
     ok = coinv == ext == expected
@@ -300,7 +260,6 @@ def _verify_thm23(args, ctx: _Ctx) -> list[VerdictReport]:
     d = _rank5_degree(t)
     ctx.require_heavy(f"coinvariants of rank 5 in degree {d}")
     start = time.monotonic()
-    ctx.primitive(5, d)
     report = coinvariant_classes(5, d, budget=ctx.budget)
     return [
         VerdictReport(
@@ -319,10 +278,6 @@ def _verify_cor24(args, ctx: _Ctx) -> list[VerdictReport]:
     t = args.t
     d = _rank5_degree(t)
     start = time.monotonic()
-    if ctx.cache is not None:
-        if d >= 1:
-            ctx.boundary(6, d - 1)
-        ctx.boundary(5, d)
     ext = homology_dim(5, d, budget=ctx.budget)
     ext_verdict = VerdictReport(
         claim=f"cor2.4:t={t}:ext",
@@ -427,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    finally:
+        store.configure(None)  # library calls after a command stay off disk
 
 
 if __name__ == "__main__":

@@ -32,9 +32,6 @@ from .budget import Budget
 __all__ = [
     "BitRow",
     "EchelonBasis",
-    "reduce_against",
-    "insert",
-    "kernel_basis",
     "quotient_representatives",
     "ones",
 ]
@@ -149,7 +146,7 @@ class EchelonBasis:
         return f"EchelonBasis(ambient={self.ambient_length}, rank={self.rank})"
 
     def contains(self, v: BitRow) -> bool:
-        return reduce_against(v, self).is_zero()
+        return self.reduce(v).is_zero()
 
     # -- elimination --------------------------------------------------------
 
@@ -255,39 +252,6 @@ class EchelonBasis:
             if f not in self._rows
         )
         return out
-
-
-# -- module-level operation surface ------------------------------------------
-
-
-def reduce_against(v: BitRow, b: EchelonBasis) -> BitRow:
-    """Unique residual of v modulo span(b); all-zeros iff v lies in the span."""
-    return b.reduce(v)
-
-
-def insert(b: EchelonBasis, v: BitRow) -> tuple[EchelonBasis, bool]:
-    """Add v to the span of b.  Returns (updated basis, rank grew).
-
-    The basis object is updated in place; the returned reference is the new
-    logical state.  Its canonical rows depend only on the span, not on
-    insertion history.
-    """
-    grew = b.insert(v)
-    return b, grew
-
-
-def kernel_basis(
-    rows: Iterable[BitRow],
-    width: int,
-    budget: Budget | None = None,
-) -> EchelonBasis:
-    """Reduced basis of {x : M x = 0} for the matrix M with the given rows."""
-    b = EchelonBasis(width, budget=budget)
-    for row in rows:
-        if row.length != width:
-            raise ValueError(f"row length {row.length} does not match width {width}")
-        b.insert(row)
-    return b.kernel(budget=budget)
 
 
 def quotient_representatives(ambient_coords: int, b: EchelonBasis) -> list[int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from . import store
 from .budget import Budget, DEFAULT_BUDGET
 from .gf2 import EchelonBasis, ones, quotient_representatives
 from .hit import cohit_basis
@@ -287,10 +288,6 @@ def act_homology(g: GLMatrix, xi: DElement) -> DElement:
     return _bits_element(image, xi.n, d)
 
 
-def clear_caches() -> None:
-    _coinvariant_cache.clear()
-
-
 # -- invariants of cohits --------------------------------------------------------
 
 
@@ -351,35 +348,32 @@ class CoinvariantReport:
     relations_rank: int
 
 
-_coinvariant_cache: dict[tuple[int, int], tuple[PrimitiveBasis, EchelonBasis]] = {}
-
-
 def _coinvariant_data(
     n: int, d: int, budget: Budget | None
 ) -> tuple[PrimitiveBasis, EchelonBasis]:
-    """The primitive basis and the echelonized (g - 1) relation space."""
-    cached = _coinvariant_cache.get((n, d))
-    if cached is not None:
-        return cached
-    prim = primitive_basis(n, d, budget=budget)
-    p = prim.dimension
-    relations = EchelonBasis(p, budget=budget or DEFAULT_BUDGET)
-    if p:
-        rows = prim.echelon.row_ints()
-        position = {piv: j for j, piv in enumerate(prim.echelon.pivots)}
-        pivot_mask = sum(1 << piv for piv in position)
-        coords = [ones(v) for v in rows]
-        for g in generators(n):
-            act = _homology_action(g, d)
-            for v, support in zip(rows, coords):
-                w = act(support) ^ v
-                if prim.echelon.reduce_int(w) != 0:
-                    raise RuntimeError(
-                        "group image left the primitive subspace; convention bug"
-                    )
-                relations.insert_indices([position[c] for c in ones(w & pivot_mask)])
-    _coinvariant_cache[(n, d)] = (prim, relations)
-    return prim, relations
+    """The primitive basis and the echelonized (g - 1) relation space, memoised."""
+
+    def compute() -> tuple[PrimitiveBasis, EchelonBasis]:
+        prim = primitive_basis(n, d, budget=budget)
+        p = prim.dimension
+        relations = EchelonBasis(p, budget=budget or DEFAULT_BUDGET)
+        if p:
+            rows = prim.echelon.row_ints()
+            position = {piv: j for j, piv in enumerate(prim.echelon.pivots)}
+            pivot_mask = sum(1 << piv for piv in position)
+            coords = [ones(v) for v in rows]
+            for g in generators(n):
+                act = _homology_action(g, d)
+                for v, support in zip(rows, coords):
+                    w = act(support) ^ v
+                    if prim.echelon.reduce_int(w) != 0:
+                        raise RuntimeError(
+                            "group image left the primitive subspace; convention bug"
+                        )
+                    relations.insert_indices([position[c] for c in ones(w & pivot_mask)])
+        return prim, relations
+
+    return store.fetch("coinvariant", n, d, compute)
 
 
 def coinvariant_classes(

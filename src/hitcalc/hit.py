@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import store
 from .budget import Budget, DEFAULT_BUDGET
 from .gf2 import EchelonBasis
 from .steenrod import (
@@ -35,6 +36,7 @@ __all__ = [
     "HitSpace",
     "CohitBasis",
     "hit_basis",
+    "hit_echelon",
     "cohit_dim",
     "cohit_basis",
     "peterson_wood_zero",
@@ -42,7 +44,6 @@ __all__ = [
     "kameko_down_poly",
     "kameko_iso_applicable",
     "reduce_degree_chain",
-    "clear_caches",
 ]
 
 
@@ -139,28 +140,26 @@ def _generator_rows(n: int, d: int) -> Iterator[int]:
     )
 
 
-_hit_cache: dict[tuple[int, int], HitSpace] = {}
-
-
-def hit_basis(n: int, d: int, budget: Budget | None = None) -> HitSpace:
-    """Canonical echelon basis of the hit subspace of degree d in n variables.
+def hit_echelon(n: int, d: int, budget: Budget | None = None) -> EchelonBasis:
+    """Echelon basis of the hit subspace of degree d in n variables, not memoised.
 
     The generator rows go into the elimination as they are produced.
     """
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
-    cached = _hit_cache.get((n, d))
-    if cached is not None:
-        return cached
     budget = budget or DEFAULT_BUDGET
     dim = monomial_count(n, d)
     budget.check_bytes(dim * ((dim + 63) // 64) * 8, f"hit space ({n}, {d})")
     basis = EchelonBasis(dim, budget=budget)
     for row in _generator_rows(n, d):
         basis.insert_int(row)
-    space = HitSpace(n, d, basis)
-    _hit_cache[(n, d)] = space
-    return space
+    return basis
+
+
+def hit_basis(n: int, d: int, budget: Budget | None = None) -> HitSpace:
+    """Canonical echelon basis of the hit subspace of degree d in n variables."""
+    if n < 1 or d < 0:
+        raise ValueError("need n >= 1 and d >= 0")
+    echelon = store.cached_hit_basis(n, d, lambda: hit_echelon(n, d, budget), budget)
+    return HitSpace(n, d, echelon)
 
 
 def cohit_basis(n: int, d: int, budget: Budget | None = None) -> CohitBasis:
@@ -180,10 +179,6 @@ def cohit_dim(n: int, d: int, budget: Budget | None = None) -> int:
 def peterson_wood_zero(n: int, d: int) -> bool:
     """True iff alpha(n + d) > n, which forces the degree-d cohits to vanish."""
     return alpha(n + d) > n
-
-
-def clear_caches() -> None:
-    _hit_cache.clear()
 
 
 # -- degree reduction ------------------------------------------------------------

@@ -23,9 +23,10 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import store
 from .budget import Budget, DEFAULT_BUDGET
 from .gf2 import EchelonBasis, ones
-from .hit import hit_basis
+from .hit import hit_echelon
 from .steenrod import Polynomial, _tuples, degree_index, monomial_count
 
 __all__ = [
@@ -259,31 +260,23 @@ def _bits_element(bits: int, n: int, d: int) -> DElement:
     return DElement.from_tuples((tuples[i] for i in ones(bits)), n)
 
 
-_primitive_cache: dict[tuple[int, int], PrimitiveBasis] = {}
-
-
 def primitive_basis(n: int, d: int, budget: Budget | None = None) -> PrimitiveBasis:
     """Joint kernel of the dual squares of 2-power degree <= d, echelonized.
 
     A d-element is primitive iff it pairs to zero with every hit polynomial,
-    so this is the kernel of the canonical hit rows.
+    so this is the kernel of the canonical hit rows.  The hit space itself is
+    not memoised.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    cached = _primitive_cache.get((n, d))
-    if cached is not None:
-        return cached
-    budget = budget or DEFAULT_BUDGET
-    dim = monomial_count(n, d)
-    budget.check_bytes(dim * ((dim + 63) // 64) * 8, f"primitive space ({n}, {d})")
-    hit = hit_basis(n, d, budget=budget).basis
-    basis = PrimitiveBasis(n, d, hit.kernel(budget=budget))
-    _primitive_cache[(n, d)] = basis
-    return basis
 
+    def compute() -> EchelonBasis:
+        limit = budget or DEFAULT_BUDGET
+        dim = monomial_count(n, d)
+        limit.check_bytes(dim * ((dim + 63) // 64) * 8, f"primitive space ({n}, {d})")
+        return hit_echelon(n, d, budget=limit).kernel(budget=limit)
 
-def clear_caches() -> None:
-    _primitive_cache.clear()
+    return PrimitiveBasis(n, d, store.cached_primitive_basis(n, d, compute, budget))
 
 
 # -- the doubling lift and the distinguished elements ----------------------------

@@ -30,6 +30,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import store
 from .budget import Budget, BudgetError, DEFAULT_BUDGET
 from .gf2 import EchelonBasis
 
@@ -256,10 +257,6 @@ def normal_form(
     return LambdaElement(_normalize_words(e.words, leftmost, step_budget))
 
 
-def is_normal(e: LambdaElement) -> bool:
-    return all(_first_bad_pair(w, True) is None for w in e.words)
-
-
 # -- the differential ------------------------------------------------------------
 
 
@@ -332,8 +329,8 @@ def _enumerate_words(s: int, w: int, bound: int | None) -> Iterator[tuple[int, .
 
 
 @functools.lru_cache(maxsize=256)
-def bidegree_basis_tuples(s: int, w: int, budget_words: int | None = None) -> tuple[tuple[int, ...], ...]:
-    limit = budget_words if budget_words is not None else DEFAULT_BUDGET.max_words_per_bidegree
+def bidegree_basis_tuples(s: int, w: int) -> tuple[tuple[int, ...], ...]:
+    limit = DEFAULT_BUDGET.max_words_per_bidegree
     count = bidegree_count(s, w)
     if count > limit:
         raise BudgetError(
@@ -349,9 +346,6 @@ def bidegree_basis(s: int, w: int) -> list[LambdaWord]:
     return [LambdaWord(t) for t in bidegree_basis_tuples(s, w)]
 
 
-_boundary_cache: dict[tuple[int, int], EchelonBasis] = {}
-
-
 def boundary_echelon(s: int, w: int, budget: Budget | None = None) -> EchelonBasis:
     """Echelon basis of the boundary subspace inside bidegree (s, w).
 
@@ -359,20 +353,19 @@ def boundary_echelon(s: int, w: int, budget: Budget | None = None) -> EchelonBas
     bidegree (s - 1, w + 1); rows are coordinates over the (s, w) word
     enumeration.
     """
-    key = (s, w)
-    cached = _boundary_cache.get(key)
-    if cached is not None:
-        return cached
-    target = bidegree_basis_tuples(s, w)
-    index = {t: i for i, t in enumerate(target)}
-    basis = EchelonBasis(len(target), budget=budget)
-    if s >= 1:
-        basis.extend(
-            [index[t] for t in _differential_words((source,))]
-            for source in bidegree_basis_tuples(s - 1, w + 1)
-        )
-    _boundary_cache[key] = basis
-    return basis
+
+    def compute() -> EchelonBasis:
+        target = bidegree_basis_tuples(s, w)
+        index = {t: i for i, t in enumerate(target)}
+        basis = EchelonBasis(len(target), budget=budget)
+        if s >= 1:
+            basis.extend(
+                [index[t] for t in _differential_words((source,))]
+                for source in bidegree_basis_tuples(s - 1, w + 1)
+            )
+        return basis
+
+    return store.cached_boundary_echelon(s, w, compute, budget)
 
 
 def element_coordinates(e: LambdaElement, s: int, w: int) -> list[int]:

@@ -5,14 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitcalc.budget import Budget, BudgetError
-from hitcalc.gf2 import (
-    BitRow,
-    EchelonBasis,
-    insert,
-    kernel_basis,
-    quotient_representatives,
-    reduce_against,
-)
+from hitcalc.gf2 import BitRow, EchelonBasis, quotient_representatives
 
 
 def eager_rref(rows):
@@ -69,37 +62,37 @@ def basis_of(*rows_):
 class TestReduceAgainst:
     def test_zero_row_reduces_to_zero(self):
         b = basis_of(row(1, 0, 0))
-        assert reduce_against(row(0, 0, 0), b).is_zero()
+        assert b.reduce(row(0, 0, 0)).is_zero()
 
     def test_member_reduces_to_zero(self):
         b = basis_of(row(1, 1, 0), row(0, 1, 1))
         for r in b.rows:
-            assert reduce_against(r, b).is_zero()
+            assert b.reduce(r).is_zero()
 
     def test_single_elimination(self):
         b = basis_of(row(1, 0, 0))
-        assert reduce_against(row(1, 1, 0), b) == row(0, 1, 0)
+        assert b.reduce(row(1, 1, 0)) == row(0, 1, 0)
 
     def test_length_mismatch(self):
         b = basis_of(row(1, 0, 0))
         with pytest.raises(ValueError):
-            reduce_against(row(1, 0), b)
+            b.reduce(row(1, 0))
 
 
 class TestInsert:
     def test_insert_into_empty(self):
         b = EchelonBasis(3)
-        b2, grew = insert(b, row(0, 1, 1))
-        assert grew and b2.rank == 1
+        grew = b.insert(row(0, 1, 1))
+        assert grew and b.rank == 1
 
     def test_duplicate_does_not_grow(self):
         b = basis_of(row(0, 1, 1))
-        _, grew = insert(b, row(0, 1, 1))
+        grew = b.insert(row(0, 1, 1))
         assert not grew and b.rank == 1
 
     def test_mutual_reduction(self):
         b = basis_of(row(1, 1, 0))
-        _, grew = insert(b, row(0, 1, 1))
+        grew = b.insert(row(0, 1, 1))
         assert grew
         assert b.rows == [row(1, 0, 1), row(0, 1, 1)]
 
@@ -122,19 +115,19 @@ class TestInsert:
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
         rows = [row(1, 0, 0), row(0, 1, 0), row(0, 0, 1)]
-        assert kernel_basis(rows, 3).rank == 0
+        assert basis_of(*rows).kernel().rank == 0
 
     def test_zero_row_has_full_kernel(self):
-        assert kernel_basis([row(0, 0)], 2).rank == 2
+        assert basis_of(row(0, 0)).kernel().rank == 2
 
     def test_small_system(self):
-        k = kernel_basis([row(1, 1, 0), row(0, 1, 1)], 3)
+        k = basis_of(row(1, 1, 0), row(0, 1, 1)).kernel()
         assert k.rows == [row(1, 1, 1)]
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(5)
         rows = [BitRow(rng.getrandbits(10), 10) for _ in range(6)]
-        k = kernel_basis(rows, 10)
+        k = basis_of(*rows).kernel()
         for v in k.rows:
             for r in rows:
                 assert (v.bits & r.bits).bit_count() % 2 == 0
@@ -145,7 +138,7 @@ class TestKernel:
             width = rng.randrange(1, 16)
             rows = [BitRow(rng.getrandbits(width), width) for _ in range(rng.randrange(0, 20))]
             b = basis_of(*(rows or [BitRow.zero(width)]))
-            assert b.rank + kernel_basis(rows, width).rank == width
+            assert b.rank + b.kernel().rank == width
 
 
 class TestQuotientRepresentatives:
@@ -186,8 +179,8 @@ class TestCanonicality:
         for v in bits:
             b.insert(BitRow(v, 10))
         probe = BitRow(bits[0] if bits else 0, 10)
-        was_zero = reduce_against(probe, b).is_zero()
-        _, grew = insert(b, probe)
+        was_zero = b.reduce(probe).is_zero()
+        grew = b.insert(probe)
         assert was_zero == (not grew)
 
 

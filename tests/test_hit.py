@@ -101,10 +101,11 @@ class TestCohits:
 
     def test_generator_row_order_changes_nothing(self, monkeypatch):
         import hitcalc.hit as hit_mod
+        from hitcalc import store
 
-        hit_mod._hit_cache.pop((3, 8), None)
+        store.configure(None)  # empties the memory tier
         a = hit_basis(3, 8).basis.row_ints()
-        hit_mod._hit_cache.pop((3, 8), None)
+        store.configure(None)
         original = hit_mod._generator_rows
 
         def shuffled(*args):
@@ -114,7 +115,7 @@ class TestCohits:
 
         monkeypatch.setattr(hit_mod, "_generator_rows", shuffled)
         b = hit_basis(3, 8).basis.row_ints()
-        hit_mod._hit_cache.pop((3, 8), None)
+        store.configure(None)
         assert a == b
 
 

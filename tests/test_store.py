@@ -1,9 +1,14 @@
+import re
 import threading
 
 import pytest
 
+from hitcalc import hit, store
 from hitcalc.cli import main
+from hitcalc.gf2 import EchelonBasis
 from hitcalc.hit import hit_basis
+from hitcalc.homology import primitive_basis
+from hitcalc.lambda_algebra import boundary_echelon
 from hitcalc.store import (
     CacheEntry,
     cache_load,
@@ -107,39 +112,103 @@ class TestAtomicity:
         assert cache_load("hit", 2, 3, tmp_path) == entry
 
 
-class TestCachedWrappers:
-    def test_hit_roundtrip(self, tmp_path):
-        import hitcalc.hit as hit_mod
+def unreachable(*args, **kwargs):
+    raise AssertionError("recomputed a basis that the disk tier holds")
 
-        fresh = cached_hit_basis(2, 6, directory=tmp_path)
-        rows = fresh.basis.row_ints()
-        hit_mod._hit_cache.clear()
-        warmed = cached_hit_basis(2, 6, directory=tmp_path)
-        assert warmed.basis.row_ints() == rows
+
+class TestCachedWrappers:
+    @pytest.fixture(autouse=True)
+    def disk(self, tmp_path):
+        store.configure(tmp_path)
+        yield
+        store.configure(None)
+
+    def test_hit_roundtrip(self, tmp_path):
+        rows = hit_basis(2, 6).basis.row_ints()
+        store.configure(tmp_path)  # empties the memory tier
+        assert cached_hit_basis(2, 6, unreachable).row_ints() == rows
 
     def test_primitive_roundtrip(self, tmp_path):
-        import hitcalc.homology as hom_mod
-
-        fresh = cached_primitive_basis(2, 6, directory=tmp_path)
-        rows = fresh.echelon.row_ints()
-        hom_mod._primitive_cache.clear()
-        warmed = cached_primitive_basis(2, 6, directory=tmp_path)
-        assert warmed.echelon.row_ints() == rows
+        rows = primitive_basis(2, 6).echelon.row_ints()
+        store.configure(tmp_path)
+        assert cached_primitive_basis(2, 6, unreachable).row_ints() == rows
 
     def test_boundary_roundtrip(self, tmp_path):
-        import hitcalc.lambda_algebra as lam
-
-        fresh = cached_boundary_echelon(2, 4, directory=tmp_path)
-        rows = fresh.row_ints()
-        lam._boundary_cache.clear()
-        warmed = cached_boundary_echelon(2, 4, directory=tmp_path)
-        assert warmed.row_ints() == rows
+        rows = boundary_echelon(2, 4).row_ints()
+        store.configure(tmp_path)
+        assert cached_boundary_echelon(2, 4, unreachable).row_ints() == rows
 
     def test_cache_matches_direct_computation(self, tmp_path):
-        import hitcalc.hit as hit_mod
-
+        store.configure(None)
         direct = hit_basis(3, 7).basis.row_ints()
-        hit_mod._hit_cache.clear()
-        cached_hit_basis(3, 7, directory=tmp_path)
-        hit_mod._hit_cache.clear()
-        assert cached_hit_basis(3, 7, directory=tmp_path).basis.row_ints() == direct
+        store.configure(tmp_path)
+        hit_basis(3, 7)
+        store.configure(tmp_path)
+        assert hit_basis(3, 7).basis.row_ints() == direct
+
+    def test_memory_tier_serves_repeats(self):
+        store.configure(None)
+        assert cached_hit_basis(2, 6, lambda: EchelonBasis(7)) is cached_hit_basis(
+            2, 6, unreachable
+        )
+
+
+def strip_timing(text):
+    return re.sub(r"\(\d+ ms\)", "(ms)", text)
+
+
+class TestDiskTraffic:
+    """The files a command writes on a cold cache, and its warm rerun from them."""
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["cohit", "-n", "3", "-d", "9"], {"hit_n3_d9"}),
+            (["verify", "thm21", "-t", "1", "-s", "1", "-u", "3"], {"primitive_n4_d35"}),
+            (
+                ["verify", "cor22", "-t", "1", "-s", "2", "-u", "1"],
+                {"primitive_n4_d23", "lambda_s4_w23", "lambda_s5_w22"},
+            ),
+            (["transfer", "-n", "4", "-d", "23"], {"primitive_n4_d23", "lambda_s4_w23"}),
+            (["ext", "-s", "4", "-w", "41"], {"lambda_s4_w41", "lambda_s5_w40"}),
+        ],
+    )
+    def test_cold_writes_the_asked_bases_and_warm_reads_them(
+        self, tmp_path, capsys, monkeypatch, argv, written
+    ):
+        args = ["--cache-dir", str(tmp_path), *argv]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{name}.hpb1" for name in written
+        )
+
+        # every elimination a basis needs starts in one of these: Sq rows for
+        # hit spaces, and batch inserts for kernels and lambda boundaries
+        monkeypatch.setattr(hit, "_generator_rows", unreachable)
+        monkeypatch.setattr(EchelonBasis, "extend", unreachable)
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert strip_timing(out) == strip_timing(cold) and err == ""
+
+
+def test_no_cache_and_library_calls_stay_off_disk(tmp_path, capsys, monkeypatch):
+    assert main(["--cache-dir", str(tmp_path), "cohit", "-n", "3", "-d", "9"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["hit_n3_d9.hpb1"]
+    monkeypatch.setenv(store.ENV_VAR, str(tmp_path))
+    touched = []
+
+    def spy(real):
+        def call(*args):
+            touched.append(args)
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(store, "cache_load", spy(store.cache_load))
+    monkeypatch.setattr(store, "cache_store", spy(store.cache_store))
+    assert main(["--no-cache", "cohit", "-n", "3", "-d", "9"]) == 0
+    assert capsys.readouterr().out.startswith("dimension 7\n")
+    assert hit_basis(3, 9).rank == 55 - 7  # a library call outside main()
+    assert touched == []
+    assert [p.name for p in tmp_path.iterdir()] == ["hit_n3_d9.hpb1"]
