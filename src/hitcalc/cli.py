@@ -313,9 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--json", action="store_true", help="JSON report output")
     top.add_argument("--csv", action="store_true", help="CSV report output")
-    top.add_argument(
-        "--threads", type=int, default=1, metavar="K", help="ignored: runs in one thread"
-    )
     top.add_argument("--budget-mb", type=int, default=None, metavar="M")
     top.add_argument("--allow-heavy", action="store_true")
     top.add_argument("--cache-dir", default=None, metavar="DIR")

@@ -145,9 +145,6 @@ class EchelonBasis:
     def __repr__(self) -> str:
         return f"EchelonBasis(ambient={self.ambient_length}, rank={self.rank})"
 
-    def contains(self, v: BitRow) -> bool:
-        return self.reduce(v).is_zero()
-
     # -- elimination --------------------------------------------------------
 
     def _check_length(self, length: int) -> None:

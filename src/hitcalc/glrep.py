@@ -25,7 +25,7 @@ from .gf2 import EchelonBasis, ones, quotient_representatives
 from .hit import cohit_basis
 from .homology import DElement, PrimitiveBasis, primitive_basis
 from .homology import _bits_element, _element_bits
-from .steenrod import Monomial, Polynomial, _tuples, degree_index
+from .steenrod import Polynomial, _tuples, degree_index
 
 __all__ = [
     "GLMatrix",
@@ -198,11 +198,7 @@ def act_poly(g: GLMatrix, p: Polynomial) -> Polynomial:
     """Degree-preserving algebra substitution u_j -> sum_i g[i][j] u_i."""
     if g.n != p.n:
         raise ValueError("variable count mismatch")
-    acc: set[Monomial] = set()
-    for m in p.terms:
-        for t in _act_exponents(g, m.exponents):
-            acc.symmetric_difference_update((Monomial(t),))
-    return Polynomial(acc, p.n)
+    return Polynomial((t for m in p.terms for t in _act_exponents(g, m)), p.n)
 
 
 def _dp_image(
@@ -284,7 +280,7 @@ def act_homology(g: GLMatrix, xi: DElement) -> DElement:
     d = xi.degree
     assert d is not None
     index = degree_index(xi.n, d)
-    image = _homology_action(g, d)(index[t.dexponents] for t in xi.terms)
+    image = _homology_action(g, d)(index[t] for t in xi.terms)
     return _bits_element(image, xi.n, d)
 
 
@@ -307,7 +303,7 @@ def invariant_basis(
     hit = cohits.hit.basis
     index = degree_index(n, d)
     tuples = list(index)
-    rep_pos = {m.exponents: i for i, m in enumerate(reps)}
+    rep_pos = {m: i for i, m in enumerate(reps)}
 
     def cohit_coords(bits: int) -> int:
         coords = 0
@@ -323,7 +319,7 @@ def invariant_basis(
         rows_of_g: list[list[int]] = [[] for _ in range(q)]
         for c, m in enumerate(reps):
             bits = 0
-            for t in _act_exponents(g, m.exponents):
+            for t in _act_exponents(g, m):
                 bits ^= 1 << index[t]
             for r in ones(cohit_coords(bits) ^ (1 << c)):
                 rows_of_g[r].append(c)

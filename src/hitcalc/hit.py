@@ -191,22 +191,18 @@ def kameko_down(n: int, m: Monomial) -> Monomial | None:
     even exponent sends the monomial to zero (None).  Extended linearly it
     descends to a well-defined map on cohits.
     """
-    if m.n != n:
+    if len(m) != n:
         raise ValueError("variable count mismatch")
-    if (m.degree - n) % 2 != 0:
-        raise ValueError(f"degree {m.degree} is not of the form 2d + {n}")
-    if any(e % 2 == 0 for e in m.exponents):
+    if (sum(m) - n) % 2 != 0:
+        raise ValueError(f"degree {sum(m)} is not of the form 2d + {n}")
+    if any(e % 2 == 0 for e in m):
         return None
-    return Monomial(tuple((e - 1) // 2 for e in m.exponents))
+    return Monomial((e - 1) // 2 for e in m)
 
 
 def kameko_down_poly(n: int, p: Polynomial) -> Polynomial:
-    out: set[Monomial] = set()
-    for m in p.terms:
-        im = kameko_down(n, m)
-        if im is not None:
-            out.symmetric_difference_update((im,))
-    return Polynomial(out, n)
+    images = (kameko_down(n, m) for m in p.terms)
+    return Polynomial((m for m in images if m is not None), n)
 
 
 def kameko_iso_applicable(n: int, d: int) -> bool:

@@ -3,8 +3,9 @@
 A d-monomial a_1^(d_1)...a_n^(d_n) is the dual basis element of the
 monomial u_1^{d_1}...u_n^{d_n}; both sides share one enumeration, so the
 pairing of a d-element with a polynomial is just the parity of the number
-of common exponent tuples.  The product follows the divided power rule
-a^(d) a^(e) = C(d+e, d) a^(d+e).
+of common exponent tuples.  A d-element is a ``terms.TermSet`` with
+``DMonomial`` as its term class, so that count is a set intersection.  The
+product follows the divided power rule a^(d) a^(e) = C(d+e, d) a^(d+e).
 
 ``dual_sq`` is the transpose of the squaring operation across the pairing:
 on a d-monomial it sends a^(m) to the sum over compositions k = k_1+...+k_n
@@ -28,6 +29,7 @@ from .budget import Budget, DEFAULT_BUDGET
 from .gf2 import EchelonBasis, ones
 from .hit import hit_echelon
 from .steenrod import Polynomial, _tuples, degree_index, monomial_count
+from .terms import Term, TermSet
 
 __all__ = [
     "DMonomial",
@@ -44,107 +46,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class DMonomial:
-    """A divided-power monomial a_1^(d_1)...a_n^(d_n)."""
+class DMonomial(Term):
+    """A divided-power monomial a_1^(d_1)...a_n^(d_n), printed '(1).(2)'."""
 
-    dexponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.dexponents):
-            raise ValueError("divided-power exponents must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return len(self.dexponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.dexponents)
-
-    def __str__(self) -> str:
-        return ".".join(f"({e})" for e in self.dexponents)
+    __slots__ = ()
+    noun = "d-monomial"
+    piece = "({})"
 
 
-class DElement:
+class DElement(TermSet):
     """A finite mod-2 sum of d-monomials in a fixed number of variables."""
 
-    __slots__ = ("terms", "n")
-
-    def __init__(self, terms: Iterable[DMonomial], n: int):
-        collected: set[DMonomial] = set()
-        for t in terms:
-            if t.n != n:
-                raise ValueError("variable count mismatch")
-            collected.symmetric_difference_update((t,))
-        self.terms: frozenset[DMonomial] = frozenset(collected)
-        self.n = n
-
-    @classmethod
-    def zero(cls, n: int) -> "DElement":
-        return cls((), n)
-
-    @classmethod
-    def from_tuples(cls, tuples: Iterable[tuple[int, ...]], n: int) -> "DElement":
-        return cls((DMonomial(t) for t in tuples), n)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def degree(self) -> int | None:
-        degs = {t.degree for t in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("d-element is not homogeneous")
-        return degs.pop()
-
-    def tuples(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(t.dexponents for t in self.terms)
-
-    def __add__(self, other: "DElement") -> "DElement":
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        return DElement(self.terms ^ other.terms, self.n)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.terms))
-
-    def sorted_terms(self) -> list[DMonomial]:
-        return sorted(self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return "+".join(str(t) for t in self.sorted_terms())
+    __slots__ = ()
+    term = DMonomial
 
 
 def parse_dmonomial(text: str) -> DMonomial:
     """Parse the parenthesized dot format, e.g. '(0).(15).(15).(11)'."""
-    parts = text.strip().split(".")
-    exps = []
-    for p in parts:
-        p = p.strip()
-        if not (p.startswith("(") and p.endswith(")")):
-            raise ValueError(f"bad d-monomial piece {p!r}")
-        exps.append(int(p[1:-1]))
-    return DMonomial(tuple(exps))
+    return DMonomial.parse(text)
 
 
 def parse_delement(text: str, n: int | None = None) -> DElement:
-    parts = [p for p in (s.strip() for s in text.split("+")) if p and p != "0"]
-    monos = [parse_dmonomial(p) for p in parts]
-    if n is None:
-        if not monos:
-            raise ValueError("cannot infer variable count of the zero element")
-        n = monos[0].n
-    return DElement(monos, n)
+    """Parse '+'-joined d-monomials; n defaults to the first one's length."""
+    return DElement.parse(text, n)
 
 
 # -- pairing and product ---------------------------------------------------------
@@ -154,20 +78,16 @@ def pair(xi: DElement, f: Polynomial) -> int:
     """The duality pairing: parity of coinciding exponent tuples."""
     if xi.n != f.n:
         raise ValueError("variable count mismatch in pairing")
-    xtuples = xi.tuples()
-    return sum(1 for m in f.terms if m.exponents in xtuples) & 1
+    return len(xi.terms & f.terms) & 1
 
 
 def dp_product(x: DMonomial, y: DMonomial) -> DElement:
     """Divided-power product: one d-monomial or zero, by Lucas on each variable."""
-    if x.n != y.n:
+    if len(x) != len(y):
         raise ValueError("variable count mismatch")
-    for a, b in zip(x.dexponents, y.dexponents):
-        if a & b:  # C(a+b, a) is even
-            return DElement.zero(x.n)
-    return DElement(
-        (DMonomial(tuple(a + b for a, b in zip(x.dexponents, y.dexponents))),), x.n
-    )
+    if any(a & b for a, b in zip(x, y)):  # C(a+b, a) is even
+        return DElement.zero(len(x))
+    return DElement((tuple(a + b for a, b in zip(x, y)),), len(x))
 
 
 # -- the transposed squaring action ----------------------------------------------
@@ -215,11 +135,7 @@ def dual_sq(k: int, xi: DElement) -> DElement:
     """The transpose of Sq^k across the pairing; lowers degree by k."""
     if k < 0:
         raise ValueError("dual square needs k >= 0")
-    acc: set[DMonomial] = set()
-    for t in xi.terms:
-        for target in dual_sq_targets(k, t.dexponents):
-            acc.symmetric_difference_update((DMonomial(target),))
-    return DElement(acc, xi.n)
+    return DElement((u for t in xi.terms for u in dual_sq_targets(k, t)), xi.n)
 
 
 # -- the primitive subspace ------------------------------------------------------
@@ -248,24 +164,22 @@ class PrimitiveBasis:
 
 def _element_bits(xi: DElement, n: int, d: int) -> int:
     index = degree_index(n, d)
-    bits = 0
-    for t in xi.terms:
-        bits ^= 1 << index[t.dexponents]
-    return bits
+    return sum(1 << index[t] for t in xi.terms)
 
 
 def _bits_element(bits: int, n: int, d: int) -> DElement:
     """The inverse of ``_element_bits``."""
     tuples = _tuples(n, d)
-    return DElement.from_tuples((tuples[i] for i in ones(bits)), n)
+    return DElement((tuples[i] for i in ones(bits)), n)
 
 
 def primitive_basis(n: int, d: int, budget: Budget | None = None) -> PrimitiveBasis:
     """Joint kernel of the dual squares of 2-power degree <= d, echelonized.
 
     A d-element is primitive iff it pairs to zero with every hit polynomial,
-    so this is the kernel of the canonical hit rows.  The hit space itself is
-    not memoised.
+    so this is the kernel of the canonical hit rows.  A hit space the memory
+    tier already holds is reused; otherwise one is eliminated and dropped,
+    never memoised or written.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
@@ -274,7 +188,10 @@ def primitive_basis(n: int, d: int, budget: Budget | None = None) -> PrimitiveBa
         limit = budget or DEFAULT_BUDGET
         dim = monomial_count(n, d)
         limit.check_bytes(dim * ((dim + 63) // 64) * 8, f"primitive space ({n}, {d})")
-        return hit_echelon(n, d, budget=limit).kernel(budget=limit)
+        hit = store.peek("hit", n, d)
+        if hit is None:
+            hit = hit_echelon(n, d, budget=limit)
+        return hit.kernel(budget=limit)
 
     return PrimitiveBasis(n, d, store.cached_primitive_basis(n, d, compute, budget))
 
@@ -284,10 +201,7 @@ def primitive_basis(n: int, d: int, budget: Budget | None = None) -> PrimitiveBa
 
 def dual_kameko_up(xi: DElement) -> DElement:
     """Termwise a_i^(e) -> a_i^(2e+1); lifts primitives to primitives."""
-    return DElement(
-        (DMonomial(tuple(2 * e + 1 for e in t.dexponents)) for t in xi.terms),
-        xi.n,
-    )
+    return DElement((tuple(2 * e + 1 for e in t) for t in xi.terms), xi.n)
 
 
 def zeta_element(family: str, t: int, s: int, u: int) -> DElement:
@@ -325,7 +239,7 @@ def zeta_element(family: str, t: int, s: int, u: int) -> DElement:
         ]
     else:
         raise ValueError(f"unknown family {family!r}; expected A, B or C")
-    element = DElement.from_tuples(tuples, 4)
+    element = DElement(tuples, 4)
     expected = (1 << (t + s + u)) + (1 << (t + s)) + (1 << t) - 3
     assert element.degree == expected
     return element

@@ -3,7 +3,8 @@
 Conventions
 -----------
 A word is a tuple of indices (i_1, ..., i_s), each i_r >= 0; any word that
-would contain index -1 is identified with zero.  Length s is the
+would contain index -1 is identified with zero.  An element is a
+``terms.TermSet`` with ``LambdaWord`` as its term class.  Length s is the
 cohomological degree, weight is the index sum; the complex at (length s,
 weight w) computes the bigraded group at (s, s + w), and the differential
 maps (s, w) to (s + 1, w - 1), preserving s + w.
@@ -27,12 +28,12 @@ lambda_{j-1} lambda_{n-j}, extended by the Leibniz rule and normalized.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import store
 from .budget import Budget, BudgetError, DEFAULT_BUDGET
 from .gf2 import EchelonBasis
+from .terms import Term, TermSet
 
 __all__ = [
     "LambdaWord",
@@ -73,84 +74,52 @@ def binom2(m: int, r: int) -> int:
 # -- words and elements ---------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class LambdaWord:
-    """A product of lambda generators, stored as the index sequence."""
+class LambdaWord(Term):
+    """A product of lambda generators, stored as the index sequence, printed '1,2'."""
 
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(i < -1 for i in self.indices):
-            raise ValueError("lambda indices must be >= -1")
-
-    @property
-    def length(self) -> int:
-        return len(self.indices)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.indices)
-
-    def __str__(self) -> str:
-        return ",".join(str(i) for i in self.indices)
+    __slots__ = ()
+    noun = "lambda word"
+    sep = ","
 
 
-class LambdaElement:
-    """A mod-2 set of words, homogeneous in (length, weight)."""
+class LambdaElement(TermSet):
+    """A mod-2 set of words, homogeneous in (length, weight); n is the length."""
 
-    __slots__ = ("words", "length", "weight")
+    __slots__ = ("weight",)
+    term = LambdaWord
 
     def __init__(self, words: Iterable[tuple[int, ...]]):
         collected: set[tuple[int, ...]] = set()
         for w in words:
-            if any(i == -1 for i in w):
+            if -1 in w:
                 continue  # identified with zero
             if any(i < -1 for i in w):
                 raise ValueError("lambda indices must be >= -1")
-            collected.symmetric_difference_update((w,))
-        self.words: frozenset[tuple[int, ...]] = frozenset(collected)
+            collected.symmetric_difference_update((tuple(w),))
         lengths = {len(w) for w in collected}
         weights = {sum(w) for w in collected}
         if len(lengths) > 1 or len(weights) > 1:
             raise ValueError("element is not homogeneous in (length, weight)")
-        self.length: int | None = lengths.pop() if lengths else None
+        self.terms = frozenset(collected)
+        self.n = lengths.pop() if lengths else None
         self.weight: int | None = weights.pop() if weights else None
 
-    @classmethod
-    def zero(cls) -> "LambdaElement":
-        return cls(())
+    @property
+    def length(self) -> int | None:
+        return self.n
 
     @classmethod
     def from_word(cls, *indices: int) -> "LambdaElement":
-        return cls((tuple(indices),))
-
-    def is_zero(self) -> bool:
-        return not self.words
-
-    def terms(self) -> list[LambdaWord]:
-        return [LambdaWord(w) for w in sorted(self.words)]
+        return cls((indices,))
 
     def __add__(self, other: "LambdaElement") -> "LambdaElement":
         if (
             not self.is_zero()
             and not other.is_zero()
-            and (self.length, self.weight) != (other.length, other.weight)
+            and (self.n, self.weight) != (other.n, other.weight)
         ):
             raise ValueError("bidegree mismatch in lambda sum")
-        return LambdaElement(self.words ^ other.words)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LambdaElement):
-            return NotImplemented
-        return self.words == other.words
-
-    def __hash__(self) -> int:
-        return hash(self.words)
-
-    def __str__(self) -> str:
-        if not self.words:
-            return "0"
-        return "+".join(",".join(str(i) for i in w) for w in sorted(self.words))
+        return LambdaElement(self.terms ^ other.terms)
 
 
 def parse_lambda_element(text: str) -> LambdaElement:
@@ -159,14 +128,7 @@ def parse_lambda_element(text: str) -> LambdaElement:
     An empty string is the zero element; the single word '0' is the length-one
     generator of weight zero (which also prints as '0').
     """
-    parts = [p for p in (s.strip() for s in text.split("+")) if p]
-    words = []
-    for p in parts:
-        try:
-            words.append(tuple(int(x) for x in p.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"bad lambda word {p!r}") from exc
-    return LambdaElement(words)
+    return LambdaElement.parse(text)
 
 
 # -- the quadratic relations and rewriting --------------------------------------
@@ -254,7 +216,7 @@ def normal_form(
     Idempotent; the result is independent of the rewriting strategy
     (exercised by the test suite rather than assumed).
     """
-    return LambdaElement(_normalize_words(e.words, leftmost, step_budget))
+    return LambdaElement(_normalize_words(e.terms, leftmost, step_budget))
 
 
 # -- the differential ------------------------------------------------------------
@@ -280,7 +242,7 @@ def _differential_words(words: Iterable[tuple[int, ...]]) -> frozenset[tuple[int
 
 def differential(e: LambdaElement) -> LambdaElement:
     """Leibniz extension of the generator differential, fully normalized."""
-    return LambdaElement(_differential_words(e.words))
+    return LambdaElement(_differential_words(e.terms))
 
 
 def is_cycle(e: LambdaElement) -> bool:
@@ -372,7 +334,7 @@ def element_coordinates(e: LambdaElement, s: int, w: int) -> list[int]:
     """Indices of e's words in the (s, w) enumeration; e must be normalized."""
     index = {t: i for i, t in enumerate(bidegree_basis_tuples(s, w))}
     try:
-        return [index[t] for t in e.words]
+        return [index[t] for t in e.terms]
     except KeyError as exc:
         raise ValueError("element is not in normal form for this bidegree") from exc
 

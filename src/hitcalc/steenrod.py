@@ -1,6 +1,7 @@
 """The polynomial algebra Z/2[u_1,...,u_n] with its squaring operations.
 
-Monomials are exponent tuples; a polynomial is a mod-2 set of monomials.
+Monomials are exponent tuples; a polynomial is a mod-2 set of monomials, a
+``terms.TermSet`` with ``Monomial`` as its term class.
 ``sq`` implements the degree-k squaring operation through the Cartan
 formula: Sq^k(u^e) is the sum over compositions k = k_1 + ... + k_n of
 prod_i C(e_i, k_i) u^(e+k), with binomial parity decided by Lucas'
@@ -15,8 +16,9 @@ here is the global coordinate system used by every bit row in the package.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
+
+from .terms import Term, TermSet
 
 __all__ = [
     "Monomial",
@@ -70,111 +72,40 @@ def generic_degree(k: int, t: int, ell: int) -> GenericDegree:
 # -- monomials and polynomials -------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """A monomial u_1^{e_1}...u_n^{e_n}; ordering is ascending lex on exponents."""
+class Monomial(Term):
+    """A monomial u_1^{e_1}...u_n^{e_n}, printed '1.2'; ordered ascending lex."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ()
+    noun = "monomial"
 
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("exponents must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exponents) != len(other.exponents):
+    def __mul__(self, other: tuple[int, ...]) -> "Monomial":
+        if len(self) != len(other):
             raise ValueError("variable count mismatch")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __str__(self) -> str:
-        return ".".join(str(e) for e in self.exponents)
+        return Monomial(a + b for a, b in zip(self, other))
 
 
-class Polynomial:
+class Polynomial(TermSet):
     """A finite mod-2 sum of monomials in a fixed number of variables."""
 
-    __slots__ = ("terms", "n")
-
-    def __init__(self, terms: Iterator[Monomial] | tuple | frozenset, n: int):
-        collected: set[Monomial] = set()
-        for t in terms:
-            if t.n != n:
-                raise ValueError("variable count mismatch")
-            collected.symmetric_difference_update((t,))
-        self.terms: frozenset[Monomial] = frozenset(collected)
-        self.n = n
-
-    @classmethod
-    def zero(cls, n: int) -> "Polynomial":
-        return cls((), n)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def degree(self) -> int | None:
-        """Common degree of the terms, or None for the zero polynomial."""
-        degs = {t.degree for t in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("polynomial is not homogeneous")
-        return degs.pop()
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        return Polynomial(self.terms ^ other.terms, self.n)
+    __slots__ = ()
+    term = Monomial
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        acc: set[Monomial] = set()
-        for a in self.terms:
-            for b in other.terms:
-                acc.symmetric_difference_update((a * b,))
-        return Polynomial(acc, self.n)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.terms))
-
-    def sorted_terms(self) -> list[Monomial]:
-        return sorted(self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return "+".join(str(t) for t in self.sorted_terms())
+        return Polynomial(
+            (Monomial(a) * b for a in self.terms for b in other.terms), self.n
+        )
 
 
 def parse_monomial(text: str) -> Monomial:
     """Parse the dot format, e.g. '0.15.15.11'."""
-    try:
-        return Monomial(tuple(int(p) for p in text.strip().split(".")))
-    except ValueError as exc:
-        raise ValueError(f"bad monomial {text!r}") from exc
+    return Monomial.parse(text)
 
 
 def parse_polynomial(text: str, n: int | None = None) -> Polynomial:
-    parts = [p for p in (s.strip() for s in text.split("+")) if p and p != "0"]
-    monos = [parse_monomial(p) for p in parts]
-    if n is None:
-        if not monos:
-            raise ValueError("cannot infer variable count of the zero polynomial")
-        n = monos[0].n
-    return Polynomial(monos, n)
+    """Parse '+'-joined monomials; n defaults to the first monomial's length."""
+    return Polynomial.parse(text, n)
 
 
 # -- the global monomial enumeration -------------------------------------------
@@ -271,18 +202,12 @@ def sq_monomial(k: int, m: Monomial) -> Polynomial:
     """Sq^k of a single monomial via the Cartan formula."""
     if k < 0:
         raise ValueError("Sq^k needs k >= 0")
-    return Polynomial(
-        (Monomial(t) for t in sq_exponent_targets(k, m.exponents)), m.n
-    )
+    return sq(k, Polynomial((m,), len(m)))  # which rejects negative exponents
 
 
 def sq(k: int, p: Polynomial) -> Polynomial:
     """Linear extension of sq_monomial over a polynomial."""
-    acc: set[Monomial] = set()
-    for m in p.terms:
-        for t in sq_exponent_targets(k, m.exponents):
-            acc.symmetric_difference_update((Monomial(t),))
-    return Polynomial(acc, p.n)
+    return Polynomial((t for m in p.terms for t in sq_exponent_targets(k, m)), p.n)
 
 
 # -- weight sequences ----------------------------------------------------------

@@ -7,8 +7,9 @@ the echelon kinds (hit, primitive, lambda-bidegree) and is on only while
 command from ``--cache-dir``, ``--no-cache`` and ``$HITCALC_CACHE``; outside
 a command nothing touches disk.  A command writes the bases it asks for and
 never their intermediates: a primitive space is the kernel of a hit space
-that is neither memoised nor written, since at (4, 35) writing it would
-cost an extra 8.8 MB file and raise peak RSS from 25 MiB to 42 MiB.
+that it neither memoises nor writes, since at (4, 35) writing it would cost
+an extra 8.8 MB file and raise peak RSS from 25 MiB to 42 MiB.  It does
+reuse (``peek``) a hit space the memory tier already holds.
 
 HPB1 layout, all little-endian:
 
@@ -46,6 +47,7 @@ __all__ = [
     "CacheEntry",
     "configure",
     "fetch",
+    "peek",
     "cache_dir",
     "cache_load",
     "cache_store",
@@ -74,6 +76,11 @@ def configure(directory: Path | None) -> None:
     global _directory
     _directory = directory
     _memory.clear()
+
+
+def peek(kind: str, n: int, d: int) -> object | None:
+    """The memory tier's value of kind at (n, d), or None; never computes or loads."""
+    return _memory.get((kind, n, d))
 
 
 def fetch(kind: str, n: int, d: int, compute: Callable[[], T]) -> T:

@@ -49,22 +49,20 @@ def psi(n: int, xi: DElement) -> LambdaElement:
     if xi.is_zero():
         return LambdaElement.zero()
     if n == 1:
-        return LambdaElement(tuple((t.dexponents[0],) for t in xi.terms))
-    by_first: dict[int, set[tuple[int, ...]]] = {}
+        return LambdaElement(xi.terms)
+    by_first: dict[int, list[tuple[int, ...]]] = {}
     for t in xi.terms:
-        by_first.setdefault(t.dexponents[0], set()).symmetric_difference_update(
-            (t.dexponents[1:],)
-        )
+        by_first.setdefault(t[0], []).append(t[1:])
     words: set[tuple[int, ...]] = set()
     for i, rest in sorted(by_first.items()):
-        z = DElement.from_tuples(rest, n - 1)
+        z = DElement(rest, n - 1)
         deg = 0 if z.is_zero() else z.degree or 0
         for t in range(deg + 1):
             zt = dual_sq(t, z)
             if zt.is_zero():
                 continue
             sub = psi(n - 1, zt)
-            for w in sub.words:
+            for w in sub.terms:
                 words.symmetric_difference_update(((i + t,) + w,))
     return normal_form(LambdaElement(words))
 

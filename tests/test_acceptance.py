@@ -51,7 +51,7 @@ def test_criterion_1_generator_oracle_equivalence():
             for k in range(1, d + 1):
                 for m in enumerate_monomials(n, d - k):
                     oracle.insert_indices(
-                        [index[t] for t in sq_exponent_targets(k, m.exponents)]
+                        [index[t] for t in sq_exponent_targets(k, tuple(m))]
                     )
             assert cohit_dim(n, d, budget=BUDGET) == len(index) - oracle.rank, (n, d)
     verdict(1, "2-power generators match the all-k hit span, n<=3 d<=20", start)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -38,12 +39,6 @@ class TestQueries:
         assert lines[0] == "dimension 3"
         assert lines[1:4] == ["0.3", "2.1", "3.0"]
 
-    def test_threads_flag_is_accepted_and_ignored(self, run):
-        argv = ("--no-cache", "cohit", "-n", "3", "-d", "9", "--basis")
-        plain = run(*argv)
-        assert plain[0] == 0
-        assert run("--threads", "2", *argv) == plain
-
     def test_primitives(self, run):
         code, out, _ = run("primitives", "-n", "2", "-d", "2", "--basis")
         assert code == 0
@@ -68,6 +63,29 @@ class TestQueries:
     def test_unknown_command(self, run):
         code, _, _ = run("frobnicate")
         assert code == 2
+
+    def test_unknown_option(self, run):
+        code, _, _ = run("--threads", "2", "alpha", "7")
+        assert code == 2
+
+
+def readme_examples():
+    """The README command lines that state their output as '# ... -> X'."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = []
+    for line in readme.read_text().splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("hitcalc ") and "->" in comment:
+            examples.append((shlex.split(command)[1:], comment.rsplit("->", 1)[1].strip()))
+    assert examples, "README has no '-> X' examples"
+    return examples
+
+
+@pytest.mark.parametrize(
+    "argv, expected", readme_examples(), ids=lambda v: " ".join(v) if isinstance(v, list) else v
+)
+def test_readme_example(run, argv, expected):
+    assert run(*argv) == (0, expected + "\n", "")
 
 
 class TestVerify:

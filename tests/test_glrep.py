@@ -134,8 +134,8 @@ class TestActions:
             g = rng.choice(gens)
             d = rng.randrange(1, 8)
             monos = enumerate_monomials(2, d)
-            xi = DElement.from_tuples(
-                (m.exponents for m in rng.sample(monos, min(3, len(monos)))), 2
+            xi = DElement(
+                (tuple(m) for m in rng.sample(monos, min(3, len(monos)))), 2
             )
             f = Polynomial(rng.sample(monos, min(3, len(monos))), 2)
             assert pair(act_homology(g, xi), f) == pair(xi, act_poly(g.inverse(), f))

@@ -34,7 +34,7 @@ def all_k_hit_rank(n, d):
     for k in range(1, d + 1):
         for m in enumerate_monomials(n, d - k):
             basis.insert_indices(
-                [index[t] for t in sq_exponent_targets(k, m.exponents)]
+                [index[t] for t in sq_exponent_targets(k, tuple(m))]
             )
     return basis.rank
 
@@ -46,7 +46,7 @@ def sq_target_rows(n, d):
     for k in _square_degrees(d):
         for m in enumerate_monomials(n, d - k):
             bits = 0
-            for t in sq_exponent_targets(k, m.exponents):
+            for t in sq_exponent_targets(k, tuple(m)):
                 bits ^= 1 << index[t]
             if bits:
                 rows.append(bits)
@@ -163,7 +163,7 @@ class TestKameko:
                     b ^= low
                 image = kameko_down_poly(n, Polynomial(terms, n))
                 residue = small.basis.reduce_int(
-                    sum(1 << small_index[m.exponents] for m in image.terms)
+                    sum(1 << small_index[tuple(m)] for m in image.terms)
                 )
                 assert residue == 0, (n, d)
 

@@ -46,7 +46,7 @@ def dmono(*exps):
 
 
 def delem(*tuples):
-    return DElement.from_tuples(tuples, len(tuples[0]))
+    return DElement(tuples, len(tuples[0]))
 
 
 class TestPairing:
@@ -97,8 +97,8 @@ class TestDualSq:
             k = rng.randrange(0, d + 1)
             monos = enumerate_monomials(n, d)
             lower = enumerate_monomials(n, d - k)
-            xi = DElement.from_tuples(
-                (m.exponents for m in rng.sample(monos, min(3, len(monos)))), n
+            xi = DElement(
+                (tuple(m) for m in rng.sample(monos, min(3, len(monos)))), n
             )
             f = Polynomial(rng.sample(lower, min(3, len(lower))), n)
             assert pair(dual_sq(k, xi), f) == pair(xi, sq(k, f))
@@ -194,3 +194,50 @@ class TestFormats:
     def test_bad_format(self):
         with pytest.raises(ValueError):
             parse_dmonomial("1.2")
+
+    @pytest.mark.parametrize(
+        "element, text",
+        [
+            (DElement.zero(4), "0"),
+            (delem((15, 3, 3, 2)), "(15).(3).(3).(2)"),
+            (delem((3, 0), (0, 3), (1, 2)), "(0).(3)+(1).(2)+(3).(0)"),
+        ],
+    )
+    def test_printed_form(self, element, text):
+        assert str(element) == text
+
+    def test_sorted_terms(self):
+        terms = delem((3, 0), (0, 3), (1, 2)).sorted_terms()
+        assert terms == [dmono(0, 3), dmono(1, 2), dmono(3, 0)]
+        assert [str(t) for t in terms] == ["(0).(3)", "(1).(2)", "(3).(0)"]
+
+    @pytest.mark.parametrize(
+        "text, n, printed",
+        [
+            ("0", 3, "0"),
+            ("(1).(2)+(3).(0)", None, "(1).(2)+(3).(0)"),
+            ("(3).(0)+(1).(2)+(3).(0)", None, "(1).(2)"),
+            ("(3).(0) + 0", None, "(3).(0)"),
+        ],
+    )
+    def test_parse_roundtrip(self, text, n, printed):
+        e = parse_delement(text, n)
+        assert str(e) == printed
+        assert parse_delement(printed, e.n) == e
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: DElement([dmono(1, 2)], 3), "variable count mismatch"),
+            (lambda: delem((1, 2)) + DElement.zero(3), "variable count mismatch"),
+            (lambda: dp_product(dmono(1), dmono(1, 2)), "variable count mismatch"),
+            (lambda: parse_delement(""), "cannot infer variable count of the zero element"),
+            (lambda: parse_delement("0"), "cannot infer variable count of the zero element"),
+            (lambda: parse_dmonomial("1.2"), "bad d-monomial piece '1'"),
+            (lambda: parse_delement("(1).2"), "bad d-monomial piece '2'"),
+        ],
+    )
+    def test_error_texts(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message

@@ -160,7 +160,7 @@ class TestBidegreeBasis:
         assert bidegree_basis(0, 0) == [LambdaWord(())]
 
     def test_length_two_weight_two(self):
-        assert [w.indices for w in bidegree_basis(2, 2)] == [(0, 2), (1, 1)]
+        assert [tuple(w) for w in bidegree_basis(2, 2)] == [(0, 2), (1, 1)]
 
     def test_all_words_reduced_and_complete(self):
         raw = [
@@ -171,7 +171,7 @@ class TestBidegreeBasis:
             if a + b + c == 8
         ]
         reduced = {w for w in raw if w[0] <= 2 * w[1] and w[1] <= 2 * w[2]}
-        assert {w.indices for w in bidegree_basis(3, 8)} == reduced
+        assert {tuple(w) for w in bidegree_basis(3, 8)} == reduced
 
     def test_budget(self):
         tiny = Budget(max_words_per_bidegree=10)
@@ -217,3 +217,57 @@ class TestParsing:
     def test_bidegree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LambdaElement(((1, 2), (1, 1)))
+
+    @pytest.mark.parametrize(
+        "element, text",
+        [
+            (LambdaElement.zero(), "0"),
+            (elem(15, 3, 3, 2), "15,3,3,2"),
+            (LambdaElement(((15, 3, 3, 2), (0, 15, 4, 4), (7, 7, 5, 4))), "0,15,4,4+7,7,5,4+15,3,3,2"),
+        ],
+    )
+    def test_printed_form(self, element, text):
+        assert str(element) == text
+
+    @pytest.mark.parametrize(
+        "text, printed, zero",
+        [
+            ("0", "0", False),  # the generator lambda_0, not the zero element
+            ("", "0", True),
+            ("15,3,3,2+0,15,4,4", "0,15,4,4+15,3,3,2", False),
+            ("2,0+2,0", "0", True),
+            ("3,-1,2", "0", True),
+        ],
+    )
+    def test_parse_roundtrip(self, text, printed, zero):
+        e = parse_lambda_element(text)
+        assert str(e) == printed and e.is_zero() is zero
+        if not zero:
+            assert parse_lambda_element(printed) == e
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: LambdaElement(((1, 2), (1, 1))), "element is not homogeneous in (length, weight)"),
+            (lambda: LambdaElement(((1,), (1, 0))), "element is not homogeneous in (length, weight)"),
+            (lambda: parse_lambda_element("1+2"), "element is not homogeneous in (length, weight)"),
+            (lambda: elem(1, 1) + elem(2), "bidegree mismatch in lambda sum"),
+            (lambda: elem(1, 1) + elem(0, 1), "bidegree mismatch in lambda sum"),
+            (lambda: parse_lambda_element("2,x"), "bad lambda word '2,x'"),
+            (lambda: LambdaElement(((3, -2, 2),)), "lambda indices must be >= -1"),
+        ],
+    )
+    def test_error_texts(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_sorted_terms(self):
+        terms = LambdaElement(((15, 3, 3, 2), (0, 15, 4, 4))).sorted_terms()
+        assert terms == [LambdaWord((0, 15, 4, 4)), LambdaWord((15, 3, 3, 2))]
+        assert [str(t) for t in terms] == ["0,15,4,4", "15,3,3,2"]
+
+    def test_minus_one_drops_only_its_word(self):
+        e = LambdaElement(((3, -1, 2), (1, 1, 2)))
+        assert e == elem(1, 1, 2)
+        assert e + elem(1, 1, 2) == LambdaElement.zero()

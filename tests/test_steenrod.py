@@ -119,7 +119,7 @@ class TestSquares:
             n = rng.randrange(1, 4)
             m = mono(*(rng.randrange(0, 7) for _ in range(n)))
             sqd = sq_monomial(m.degree, m)
-            assert sqd == Polynomial([Monomial(tuple(2 * e for e in m.exponents))], n)
+            assert sqd == Polynomial([Monomial(tuple(2 * e for e in tuple(m)))], n)
 
     def test_vanishing_above_degree(self):
         rng = random.Random(4)
@@ -157,6 +157,59 @@ class TestFormats:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             parse_monomial("1.x.3")
+
+    @pytest.mark.parametrize(
+        "element, text",
+        [
+            (Polynomial.zero(2), "0"),
+            (poly(mono(0, 15)), "0.15"),
+            (poly(mono(2, 1), mono(0, 3), mono(1, 2)), "0.3+1.2+2.1"),
+        ],
+    )
+    def test_printed_form(self, element, text):
+        assert str(element) == text
+
+    def test_sorted_terms(self):
+        terms = poly(mono(2, 1), mono(0, 3), mono(1, 2)).sorted_terms()
+        assert terms == [mono(0, 3), mono(1, 2), mono(2, 1)]
+        assert [str(t) for t in terms] == ["0.3", "1.2", "2.1"]
+
+    @pytest.mark.parametrize(
+        "text, n, printed",
+        [
+            ("0", 2, "0"),
+            ("1.2", None, "1.2"),
+            ("2.1+1.2", None, "1.2+2.1"),
+            ("1.2+0+0.3+1.2", None, "0.3"),
+            (" 0.15.15.11 ", None, "0.15.15.11"),
+        ],
+    )
+    def test_parse_roundtrip(self, text, n, printed):
+        p = parse_polynomial(text, n)
+        assert str(p) == printed
+        assert parse_polynomial(printed, p.n) == p
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Polynomial([mono(1, 2)], 3), "variable count mismatch"),
+            (lambda: poly(mono(1, 2)) + Polynomial.zero(3), "variable count mismatch"),
+            (lambda: poly(mono(1, 2)) * poly(mono(1, 2, 3)), "variable count mismatch"),
+            (lambda: mono(1, 2) * mono(1, 2, 3), "variable count mismatch"),
+            (lambda: parse_monomial("1.x.3"), "bad monomial '1.x.3'"),
+            (lambda: sq_monomial(1, mono(-1, 2)), "exponents must be non-negative"),
+        ],
+    )
+    def test_error_texts(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_kinds_compare_unequal(self):
+        from hitcalc.homology import DElement, DMonomial
+
+        assert poly(mono(1, 2)) != DElement([DMonomial((1, 2))], 2)
+        assert Polynomial.zero(2) != DElement.zero(2)
 
 
 def test_omega_sequence():

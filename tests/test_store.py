@@ -6,7 +6,7 @@ import pytest
 from hitcalc import hit, store
 from hitcalc.cli import main
 from hitcalc.gf2 import EchelonBasis
-from hitcalc.hit import hit_basis
+from hitcalc.hit import cohit_dim, hit_basis
 from hitcalc.homology import primitive_basis
 from hitcalc.lambda_algebra import boundary_echelon
 from hitcalc.store import (
@@ -151,6 +151,26 @@ class TestCachedWrappers:
         assert cached_hit_basis(2, 6, lambda: EchelonBasis(7)) is cached_hit_basis(
             2, 6, unreachable
         )
+
+
+class TestPrimitiveFromMemoisedHit:
+    """A primitive space reuses a hit space in memory and never memoises one."""
+
+    def test_reuses_the_hit_space_in_memory(self, monkeypatch):
+        store.configure(None)
+        fresh = primitive_basis(4, 23).echelon.row_ints()
+        store.configure(None)
+        cohit_dim(4, 23)
+        monkeypatch.setattr(hit, "_generator_rows", unreachable)
+        assert primitive_basis(4, 23).echelon.row_ints() == fresh
+        store.configure(None)
+
+    def test_leaves_no_hit_space_behind(self):
+        store.configure(None)
+        primitive_basis(3, 9)
+        assert store.peek("hit", 3, 9) is None
+        assert store.peek("primitive", 3, 9) is not None
+        store.configure(None)
 
 
 def strip_timing(text):

@@ -11,7 +11,7 @@ from hitcalc.transfer import (
 
 
 def delem(*tuples):
-    return DElement.from_tuples(tuples, len(tuples[0]))
+    return DElement(tuples, len(tuples[0]))
 
 
 class TestPsi:
