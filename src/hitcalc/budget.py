@@ -1,8 +1,16 @@
-"""Resource budgets for the large GF(2) eliminations.
+"""The one memory budget of the large GF(2) eliminations.
 
-A budget is a hard ceiling: when a computation would exceed it, a
-:class:`BudgetError` is raised before the work is attempted (or as soon as
-actual usage crosses the line).  A budget never truncates a result.
+The budget is a hard ceiling on the bytes an echelon basis may hold: every
+:class:`~hitcalc.gf2.EchelonBasis` charges it as it stores a row, and the
+hit and primitive spaces are also checked up front against a dense
+estimate, before any row is generated.  Crossing it raises
+:class:`BudgetError`; a budget never truncates a result.
+
+There is one budget per process, set with :func:`configure`.  The command
+line sets it once per command from ``--budget-mb`` and ``--allow-heavy``
+and restores the default when the command ends; library callers set it the
+same way.  The cap on lambda words per bidegree is a fixed constant of
+``lambda_algebra``, not part of the budget.
 """
 
 from __future__ import annotations
@@ -16,24 +24,33 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Memory/row ceilings for echelon bases and word enumerations."""
+    """A ceiling on the bytes held by echelon bases."""
 
     max_bytes: int = 512 * 1024 * 1024
-    max_words_per_bidegree: int = 2_000_000
 
     @classmethod
     def from_mb(cls, mb: int) -> "Budget":
         return cls(max_bytes=mb * 1024 * 1024)
-
-    def check_bytes(self, needed: int, what: str) -> None:
-        if needed > self.max_bytes:
-            raise BudgetError(
-                f"{what} needs about {needed // (1024 * 1024)} MiB, "
-                f"budget is {self.max_bytes // (1024 * 1024)} MiB"
-            )
 
 
 DEFAULT_BUDGET = Budget()
 
 #: Budget suitable for the opt-in heavy computations (rank 5, degree 50).
 HEAVY_BUDGET = Budget(max_bytes=32 * 1024 * 1024 * 1024)
+
+_current = DEFAULT_BUDGET
+
+
+def configure(limit: Budget | None) -> None:
+    """Set the budget every elimination charges; None restores DEFAULT_BUDGET."""
+    global _current
+    _current = DEFAULT_BUDGET if limit is None else limit
+
+
+def check_bytes(needed: int, what: str) -> None:
+    """Raise BudgetError if needed bytes exceed the configured budget."""
+    if needed > _current.max_bytes:
+        raise BudgetError(
+            f"{what} needs about {needed // (1024 * 1024)} MiB, "
+            f"budget is {_current.max_bytes // (1024 * 1024)} MiB"
+        )

@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from . import store
+from . import budget, store
 from .budget import Budget, BudgetError, HEAVY_BUDGET
 from .glrep import coinvariant_class_nonzero, coinvariant_classes, invariant_basis
 from .hit import cohit_basis, reduce_degree_chain
@@ -65,12 +65,12 @@ def _zeta_for(family: str, t: int, s: int, u: int):
 
 class _Ctx:
     def __init__(self, args: argparse.Namespace):
-        self.budget = (
-            HEAVY_BUDGET
-            if args.allow_heavy and args.budget_mb is None
-            else Budget.from_mb(args.budget_mb)
+        budget.configure(
+            Budget.from_mb(args.budget_mb)
             if args.budget_mb is not None
-            else Budget()
+            else HEAVY_BUDGET
+            if args.allow_heavy
+            else None
         )
         self.allow_heavy = args.allow_heavy
         store.configure(None if args.no_cache else store.cache_dir(args.cache_dir))
@@ -97,7 +97,7 @@ def _cmd_mu(args, ctx) -> int:
 
 
 def _cmd_cohit(args, ctx: _Ctx) -> int:
-    basis = cohit_basis(args.n, args.d, budget=ctx.budget)
+    basis = cohit_basis(args.n, args.d)
     print(f"dimension {basis.dimension}")
     if args.basis:
         for m in basis.representatives:
@@ -109,7 +109,7 @@ def _cmd_cohit(args, ctx: _Ctx) -> int:
 
 
 def _cmd_primitives(args, ctx: _Ctx) -> int:
-    basis = primitive_basis(args.n, args.d, budget=ctx.budget)
+    basis = primitive_basis(args.n, args.d)
     print(f"dimension {basis.dimension}")
     if args.basis:
         for e in basis.elements():
@@ -118,7 +118,7 @@ def _cmd_primitives(args, ctx: _Ctx) -> int:
 
 
 def _cmd_invariants(args, ctx: _Ctx) -> int:
-    classes = invariant_basis(args.n, args.d, budget=ctx.budget)
+    classes = invariant_basis(args.n, args.d)
     print(f"dimension {len(classes)}")
     for c in classes:
         print(str(c))
@@ -126,7 +126,7 @@ def _cmd_invariants(args, ctx: _Ctx) -> int:
 
 
 def _cmd_coinvariants(args, ctx: _Ctx) -> int:
-    report = coinvariant_classes(args.n, args.d, budget=ctx.budget)
+    report = coinvariant_classes(args.n, args.d)
     print(f"dimension {report.dimension} (relations rank {report.relations_rank})")
     for e in report.class_representatives:
         print(str(e))
@@ -134,7 +134,7 @@ def _cmd_coinvariants(args, ctx: _Ctx) -> int:
 
 
 def _cmd_transfer(args, ctx: _Ctx) -> int:
-    report = transfer_report(args.n, args.d, budget=ctx.budget)
+    report = transfer_report(args.n, args.d)
     verdict = VerdictReport(
         claim=f"transfer:n={args.n},d={args.d}",
         n=args.n,
@@ -167,7 +167,7 @@ def _cmd_lambda_d(args, ctx) -> int:
 
 
 def _cmd_ext(args, ctx: _Ctx) -> int:
-    print(homology_dim(args.s, args.w, budget=ctx.budget))
+    print(homology_dim(args.s, args.w))
     return 0
 
 
@@ -179,18 +179,13 @@ def _verify_thm21(args, ctx: _Ctx) -> list[VerdictReport]:
     d = _generic4_degree(t, s, u)
     expected, family = thm21_expected(t, s, u)
     start = time.monotonic()
-    report = coinvariant_classes(4, d, budget=ctx.budget)
+    report = coinvariant_classes(4, d)
     ok = report.dimension == expected
     reps: list[dict] = []
     if family is not None:
         z = _zeta_for(family, t, s, u)
-        k = 1
-        primitive = True
-        while k <= d:
-            if not dual_sq(k, z).is_zero():
-                primitive = False
-            k *= 2
-        nonzero = coinvariant_class_nonzero(4, d, z, budget=ctx.budget)
+        primitive = all(dual_sq(1 << i, z).is_zero() for i in range(d.bit_length()))
+        nonzero = primitive and coinvariant_class_nonzero(4, d, z)
         ok = ok and primitive and nonzero
         reps.append(
             {
@@ -219,8 +214,8 @@ def _verify_cor22(args, ctx: _Ctx) -> list[VerdictReport]:
     d = _generic4_degree(t, s, u)
     expected, family = thm21_expected(t, s, u)
     start = time.monotonic()
-    coinv = coinvariant_classes(4, d, budget=ctx.budget).dimension
-    ext = homology_dim(4, d, budget=ctx.budget)
+    coinv = coinvariant_classes(4, d).dimension
+    ext = homology_dim(4, d)
     ok = coinv == ext == expected
     reps: list[dict] = []
     if family is not None:
@@ -260,7 +255,7 @@ def _verify_thm23(args, ctx: _Ctx) -> list[VerdictReport]:
     d = _rank5_degree(t)
     ctx.require_heavy(f"coinvariants of rank 5 in degree {d}")
     start = time.monotonic()
-    report = coinvariant_classes(5, d, budget=ctx.budget)
+    report = coinvariant_classes(5, d)
     return [
         VerdictReport(
             claim=f"thm2.3:t={t}",
@@ -278,7 +273,7 @@ def _verify_cor24(args, ctx: _Ctx) -> list[VerdictReport]:
     t = args.t
     d = _rank5_degree(t)
     start = time.monotonic()
-    ext = homology_dim(5, d, budget=ctx.budget)
+    ext = homology_dim(5, d)
     ext_verdict = VerdictReport(
         claim=f"cor2.4:t={t}:ext",
         n=5,
@@ -380,7 +375,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     finally:
-        store.configure(None)  # library calls after a command stay off disk
+        # library calls after a command stay off disk, under the default budget
+        store.configure(None)
+        budget.configure(None)
 
 
 if __name__ == "__main__":

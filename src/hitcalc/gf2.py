@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .budget import Budget
+from .budget import check_bytes
 
 __all__ = [
     "BitRow",
@@ -65,13 +65,6 @@ class BitRow:
         return cls(0, length)
 
     @classmethod
-    def from_indices(cls, indices: Iterable[int], length: int) -> "BitRow":
-        bits = 0
-        for i in indices:
-            bits ^= 1 << i
-        return cls(bits, length)
-
-    @classmethod
     def from_coords(cls, coords: Sequence[int]) -> "BitRow":
         """Build from an explicit 0/1 coordinate sequence, e.g. (1, 1, 0)."""
         bits = 0
@@ -102,9 +95,10 @@ class EchelonBasis:
     reduces the new row against the stored ones and reports whether the span
     grew.  ``row_ints``, ``rows``, ``kernel`` and ``==`` see the canonical
     reduced form, which depends only on the span, not on insertion order.
+    Each stored row is charged to the configured budget (``hitcalc.budget``).
     """
 
-    def __init__(self, ambient_length: int, budget: Budget | None = None):
+    def __init__(self, ambient_length: int):
         if ambient_length < 0:
             raise ValueError("ambient_length must be non-negative")
         self.ambient_length = ambient_length
@@ -112,7 +106,6 @@ class EchelonBasis:
         self._rows: dict[int, int] = {}  # pivot coordinate -> row
         self._pivot_mask = 0  # bit p set iff p is a pivot
         self._canonical = True
-        self._budget = budget
 
     # -- queries ------------------------------------------------------------
 
@@ -167,10 +160,7 @@ class EchelonBasis:
         bits = self._reduce(bits)
         if not bits:
             return False
-        if self._budget is not None:
-            self._budget.check_bytes(
-                (len(self._rows) + 1) * self._row_bytes, "echelon basis"
-            )
+        check_bytes((len(self._rows) + 1) * self._row_bytes, "echelon basis")
         low = bits & -bits
         self._rows[low.bit_length() - 1] = bits
         self._pivot_mask |= low
@@ -230,7 +220,7 @@ class EchelonBasis:
     def reduce_int(self, bits: int) -> int:
         return self._reduce(bits)
 
-    def kernel(self, budget: Budget | None = None) -> "EchelonBasis":
+    def kernel(self) -> "EchelonBasis":
         """Reduced basis of the null space of the matrix whose rows are this basis.
 
         Read off the reduced echelon form: one kernel vector per non-pivot
@@ -242,7 +232,7 @@ class EchelonBasis:
             pivot, *rest = ones(row)
             for f in rest:
                 columns.setdefault(f, [f]).append(pivot)
-        out = EchelonBasis(self.ambient_length, budget=budget)
+        out = EchelonBasis(self.ambient_length)
         out.extend(
             columns.get(f, [f])
             for f in range(self.ambient_length)

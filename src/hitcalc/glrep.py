@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import store
-from .budget import Budget, DEFAULT_BUDGET
 from .gf2 import EchelonBasis, ones, quotient_representatives
 from .hit import cohit_basis
 from .homology import DElement, PrimitiveBasis, primitive_basis
@@ -52,8 +51,7 @@ class GLMatrix:
             raise ValueError("matrix must be square")
         if any(e not in (0, 1) for r in self.entries for e in r):
             raise ValueError("entries must be bits")
-        if _rank(self.entries) != n:
-            raise ValueError("matrix is not invertible over F2")
+        _inverse_rows(self.entries)
 
     @property
     def n(self) -> int:
@@ -79,26 +77,10 @@ class GLMatrix:
 
     def inverse(self) -> "GLMatrix":
         n = self.n
-        aug = [
-            (sum(self.entries[i][j] << j for j in range(n)))
-            | (1 << (n + i))
-            for i in range(n)
-        ]
-        rank = 0
-        for col in range(n):
-            piv = next(
-                (r for r in range(rank, n) if (aug[r] >> col) & 1), None
-            )
-            if piv is None:  # unreachable: invertibility checked on construction
-                raise ValueError("matrix is singular")
-            aug[rank], aug[piv] = aug[piv], aug[rank]
-            for r in range(n):
-                if r != rank and (aug[r] >> col) & 1:
-                    aug[r] ^= aug[rank]
-            rank += 1
         return GLMatrix(
             tuple(
-                tuple((aug[i] >> (n + j)) & 1 for j in range(n)) for i in range(n)
+                tuple(r >> (n + j) & 1 for j in range(n))
+                for r in _inverse_rows(self.entries)
             )
         )
 
@@ -112,19 +94,18 @@ def parse_glmatrix(text: str) -> GLMatrix:
     return GLMatrix(rows)
 
 
-def _rank(entries: Sequence[Sequence[int]]) -> int:
-    rows = [sum(b << j for j, b in enumerate(r)) for r in entries]
-    rank = 0
-    for col in range(len(entries)):
-        piv = next((i for i in range(rank, len(rows)) if (rows[i] >> col) & 1), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and (rows[i] >> col) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
+def _inverse_rows(entries: Sequence[Sequence[int]]) -> list[int]:
+    """The canonical rows of [g | 1], which are [1 | g^-1]: bit n + j of row
+    i is entry (i, j) of the inverse.  g is invertible iff the pivots are
+    0..n-1; otherwise this raises.
+    """
+    n = len(entries)
+    basis = EchelonBasis(2 * n)
+    for i, row in enumerate(entries):
+        basis.insert_int(sum(b << j for j, b in enumerate(row)) | 1 << (n + i))
+    if basis.pivots != tuple(range(n)):
+        raise ValueError("matrix is not invertible over F2")
+    return basis.row_ints()
 
 
 def generators(n: int) -> list[GLMatrix]:
@@ -287,15 +268,13 @@ def act_homology(g: GLMatrix, xi: DElement) -> DElement:
 # -- invariants of cohits --------------------------------------------------------
 
 
-def invariant_basis(
-    n: int, d: int, budget: Budget | None = None
-) -> list[Polynomial]:
+def invariant_basis(n: int, d: int) -> list[Polynomial]:
     """Basis of the fixed space of the group acting on the cohit quotient.
 
     Each returned polynomial is a sum of cohit representative monomials; it
     is fixed by every generator modulo the hit subspace.
     """
-    cohits = cohit_basis(n, d, budget=budget)
+    cohits = cohit_basis(n, d)
     reps = cohits.representatives
     q = len(reps)
     if q == 0:
@@ -311,7 +290,7 @@ def invariant_basis(
             coords |= 1 << rep_pos[tuples[i]]
         return coords
 
-    relation_rows = EchelonBasis(q, budget=budget or DEFAULT_BUDGET)
+    relation_rows = EchelonBasis(q)
     for g in generators(n):
         # assemble (action - identity) columnwise, then feed its rows to the
         # kernel: the fixed space is the null space of the map, not of its
@@ -326,7 +305,7 @@ def invariant_basis(
         for support in rows_of_g:
             if support:
                 relation_rows.insert_indices(support)
-    fixed = relation_rows.kernel(budget=budget)
+    fixed = relation_rows.kernel()
     return [
         Polynomial([reps[i] for i in ones(vec)], n) for vec in fixed.row_ints()
     ]
@@ -344,15 +323,13 @@ class CoinvariantReport:
     relations_rank: int
 
 
-def _coinvariant_data(
-    n: int, d: int, budget: Budget | None
-) -> tuple[PrimitiveBasis, EchelonBasis]:
+def _coinvariant_data(n: int, d: int) -> tuple[PrimitiveBasis, EchelonBasis]:
     """The primitive basis and the echelonized (g - 1) relation space, memoised."""
 
     def compute() -> tuple[PrimitiveBasis, EchelonBasis]:
-        prim = primitive_basis(n, d, budget=budget)
+        prim = primitive_basis(n, d)
         p = prim.dimension
-        relations = EchelonBasis(p, budget=budget or DEFAULT_BUDGET)
+        relations = EchelonBasis(p)
         if p:
             rows = prim.echelon.row_ints()
             position = {piv: j for j, piv in enumerate(prim.echelon.pivots)}
@@ -372,15 +349,13 @@ def _coinvariant_data(
     return store.fetch("coinvariant", n, d, compute)
 
 
-def coinvariant_classes(
-    n: int, d: int, budget: Budget | None = None
-) -> CoinvariantReport:
+def coinvariant_classes(n: int, d: int) -> CoinvariantReport:
     """Quotient of the primitive subspace by the span of (g - 1) images.
 
     Representatives are the primitive basis vectors at the first non-pivot
     coordinates of the relation space, i.e. the canonical choice.
     """
-    prim, relations = _coinvariant_data(n, d, budget)
+    prim, relations = _coinvariant_data(n, d)
     p = prim.dimension
     if p == 0:
         return CoinvariantReport(n, d, 0, (), 0)
@@ -388,11 +363,9 @@ def coinvariant_classes(
     return CoinvariantReport(n, d, p - relations.rank, reps, relations.rank)
 
 
-def coinvariant_class_nonzero(
-    n: int, d: int, xi: DElement, budget: Budget | None = None
-) -> bool:
+def coinvariant_class_nonzero(n: int, d: int, xi: DElement) -> bool:
     """Whether a primitive element has nonzero class in the coinvariants."""
-    prim, relations = _coinvariant_data(n, d, budget)
+    prim, relations = _coinvariant_data(n, d)
     bits = _element_bits(xi, n, d)
     if prim.echelon.reduce_int(bits) != 0:
         raise ValueError("element is not in the primitive subspace")

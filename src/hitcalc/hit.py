@@ -19,15 +19,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import store
-from .budget import Budget, DEFAULT_BUDGET
-from .gf2 import EchelonBasis
+from . import budget, store
+from .gf2 import EchelonBasis, quotient_representatives
 from .steenrod import (
     Monomial,
     Polynomial,
     _odd_submasks,
+    _tuples,
     alpha,
-    enumerate_monomials,
     monomial_count,
     mu,
 )
@@ -140,39 +139,37 @@ def _generator_rows(n: int, d: int) -> Iterator[int]:
     )
 
 
-def hit_echelon(n: int, d: int, budget: Budget | None = None) -> EchelonBasis:
+def hit_echelon(n: int, d: int) -> EchelonBasis:
     """Echelon basis of the hit subspace of degree d in n variables, not memoised.
 
     The generator rows go into the elimination as they are produced.
     """
-    budget = budget or DEFAULT_BUDGET
     dim = monomial_count(n, d)
     budget.check_bytes(dim * ((dim + 63) // 64) * 8, f"hit space ({n}, {d})")
-    basis = EchelonBasis(dim, budget=budget)
+    basis = EchelonBasis(dim)
     for row in _generator_rows(n, d):
         basis.insert_int(row)
     return basis
 
 
-def hit_basis(n: int, d: int, budget: Budget | None = None) -> HitSpace:
+def hit_basis(n: int, d: int) -> HitSpace:
     """Canonical echelon basis of the hit subspace of degree d in n variables."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    echelon = store.cached_hit_basis(n, d, lambda: hit_echelon(n, d, budget), budget)
+    echelon = store.cached_hit_basis(n, d, lambda: hit_echelon(n, d))
     return HitSpace(n, d, echelon)
 
 
-def cohit_basis(n: int, d: int, budget: Budget | None = None) -> CohitBasis:
+def cohit_basis(n: int, d: int) -> CohitBasis:
     """Monomial representatives of a basis of the degree-d cohit quotient."""
-    space = hit_basis(n, d, budget=budget)
-    monos = enumerate_monomials(n, d)
-    pivots = set(space.basis.pivots)
-    reps = tuple(m for i, m in enumerate(monos) if i not in pivots)
-    return CohitBasis(n, d, reps, space)
+    space = hit_basis(n, d)
+    tuples = _tuples(n, d)
+    reps = quotient_representatives(len(tuples), space.basis)
+    return CohitBasis(n, d, tuple(Monomial(tuples[i]) for i in reps), space)
 
 
-def cohit_dim(n: int, d: int, budget: Budget | None = None) -> int:
-    space = hit_basis(n, d, budget=budget)
+def cohit_dim(n: int, d: int) -> int:
+    space = hit_basis(n, d)
     return monomial_count(n, d) - space.rank
 
 

@@ -24,8 +24,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import store
-from .budget import Budget, DEFAULT_BUDGET
+from . import budget, store
 from .gf2 import EchelonBasis, ones
 from .hit import hit_echelon
 from .steenrod import Polynomial, _tuples, degree_index, monomial_count
@@ -173,7 +172,7 @@ def _bits_element(bits: int, n: int, d: int) -> DElement:
     return DElement((tuples[i] for i in ones(bits)), n)
 
 
-def primitive_basis(n: int, d: int, budget: Budget | None = None) -> PrimitiveBasis:
+def primitive_basis(n: int, d: int) -> PrimitiveBasis:
     """Joint kernel of the dual squares of 2-power degree <= d, echelonized.
 
     A d-element is primitive iff it pairs to zero with every hit polynomial,
@@ -185,15 +184,14 @@ def primitive_basis(n: int, d: int, budget: Budget | None = None) -> PrimitiveBa
         raise ValueError("need n >= 1 and d >= 0")
 
     def compute() -> EchelonBasis:
-        limit = budget or DEFAULT_BUDGET
         dim = monomial_count(n, d)
-        limit.check_bytes(dim * ((dim + 63) // 64) * 8, f"primitive space ({n}, {d})")
+        budget.check_bytes(dim * ((dim + 63) // 64) * 8, f"primitive space ({n}, {d})")
         hit = store.peek("hit", n, d)
         if hit is None:
-            hit = hit_echelon(n, d, budget=limit)
-        return hit.kernel(budget=limit)
+            hit = hit_echelon(n, d)
+        return hit.kernel()
 
-    return PrimitiveBasis(n, d, store.cached_primitive_basis(n, d, compute, budget))
+    return PrimitiveBasis(n, d, store.cached_primitive_basis(n, d, compute))
 
 
 # -- the doubling lift and the distinguished elements ----------------------------

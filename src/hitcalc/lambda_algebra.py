@@ -31,7 +31,7 @@ import functools
 from typing import Iterable, Iterator
 
 from . import store
-from .budget import Budget, BudgetError, DEFAULT_BUDGET
+from .budget import BudgetError
 from .gf2 import EchelonBasis
 from .terms import Term, TermSet
 
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 NORMAL_FORM_STEP_BUDGET = 1_000_000
+MAX_WORDS_PER_BIDEGREE = 2_000_000  # the reduced words one bidegree may enumerate
 
 
 class TerminationGuardError(RuntimeError):
@@ -292,11 +293,11 @@ def _enumerate_words(s: int, w: int, bound: int | None) -> Iterator[tuple[int, .
 
 @functools.lru_cache(maxsize=256)
 def bidegree_basis_tuples(s: int, w: int) -> tuple[tuple[int, ...], ...]:
-    limit = DEFAULT_BUDGET.max_words_per_bidegree
     count = bidegree_count(s, w)
-    if count > limit:
+    if count > MAX_WORDS_PER_BIDEGREE:
         raise BudgetError(
-            f"bidegree ({s}, {w}) has {count} reduced words, budget {limit}"
+            f"bidegree ({s}, {w}) has {count} reduced words, "
+            f"budget {MAX_WORDS_PER_BIDEGREE}"
         )
     return tuple(sorted(_enumerate_words(s, w, None)))
 
@@ -308,7 +309,7 @@ def bidegree_basis(s: int, w: int) -> list[LambdaWord]:
     return [LambdaWord(t) for t in bidegree_basis_tuples(s, w)]
 
 
-def boundary_echelon(s: int, w: int, budget: Budget | None = None) -> EchelonBasis:
+def boundary_echelon(s: int, w: int) -> EchelonBasis:
     """Echelon basis of the boundary subspace inside bidegree (s, w).
 
     Boundaries here are the normalized differentials of the reduced words of
@@ -319,7 +320,7 @@ def boundary_echelon(s: int, w: int, budget: Budget | None = None) -> EchelonBas
     def compute() -> EchelonBasis:
         target = bidegree_basis_tuples(s, w)
         index = {t: i for i, t in enumerate(target)}
-        basis = EchelonBasis(len(target), budget=budget)
+        basis = EchelonBasis(len(target))
         if s >= 1:
             basis.extend(
                 [index[t] for t in _differential_words((source,))]
@@ -327,7 +328,7 @@ def boundary_echelon(s: int, w: int, budget: Budget | None = None) -> EchelonBas
             )
         return basis
 
-    return store.cached_boundary_echelon(s, w, compute, budget)
+    return store.cached_boundary_echelon(s, w, compute)
 
 
 def element_coordinates(e: LambdaElement, s: int, w: int) -> list[int]:
@@ -339,29 +340,29 @@ def element_coordinates(e: LambdaElement, s: int, w: int) -> list[int]:
         raise ValueError("element is not in normal form for this bidegree") from exc
 
 
-def is_boundary(e: LambdaElement, budget: Budget | None = None) -> bool:
+def is_boundary(e: LambdaElement) -> bool:
     """Whether e is the differential of something one length lower."""
     nf = normal_form(e)
     if nf.is_zero():
         return True
     s, w = nf.length, nf.weight
     assert s is not None and w is not None
-    b = boundary_echelon(s, w, budget=budget)
+    b = boundary_echelon(s, w)
     residue = 0
     for i in element_coordinates(nf, s, w):
         residue ^= 1 << i
     return b.reduce_int(residue) == 0
 
 
-def homology_dim(s: int, w: int, budget: Budget | None = None) -> int:
+def homology_dim(s: int, w: int) -> int:
     """Dimension of cycles modulo boundaries at (length, weight) = (s, w)."""
     if s < 0 or w < 0:
         raise ValueError("length and weight must be non-negative")
     m = bidegree_count(s, w)
     if m == 0:
         return 0
-    if m > (budget or DEFAULT_BUDGET).max_words_per_bidegree:
+    if m > MAX_WORDS_PER_BIDEGREE:
         raise BudgetError(f"bidegree ({s}, {w}) exceeds the word budget")
-    rank_out = boundary_echelon(s + 1, w - 1, budget=budget).rank if w >= 1 else 0
-    rank_in = boundary_echelon(s, w, budget=budget).rank
+    rank_out = boundary_echelon(s + 1, w - 1).rank if w >= 1 else 0
+    rank_in = boundary_echelon(s, w).rank
     return m - rank_out - rank_in

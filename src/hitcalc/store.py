@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .budget import Budget
 from .gf2 import EchelonBasis
 from .steenrod import monomial_count
 
@@ -168,14 +167,14 @@ def cache_store(entry: CacheEntry, directory: Path) -> Path:
 
 
 def _load_basis(
-    kind: str, n: int, d: int, m: int, budget: Budget | None, directory: Path
+    kind: str, n: int, d: int, m: int, directory: Path
 ) -> EchelonBasis | None:
     """The cached basis, or None on a miss or an entry that is not canonical."""
     entry = cache_load(kind, n, d, directory)
     if entry is None or entry.m != m:
         return None
     if not any(row >> m for row in entry.rows):  # no set bit past the last coordinate
-        basis = EchelonBasis(m, budget=budget)
+        basis = EchelonBasis(m)
         for row in entry.rows:
             basis.insert_int(row)
         if basis.row_ints() == list(entry.rows):
@@ -186,12 +185,7 @@ def _load_basis(
 
 
 def _fetch_echelon(
-    kind: str,
-    n: int,
-    d: int,
-    m: int,
-    compute: Callable[[], EchelonBasis],
-    budget: Budget | None,
+    kind: str, n: int, d: int, m: int, compute: Callable[[], EchelonBasis]
 ) -> EchelonBasis:
     """``fetch`` for an echelon kind of m coordinates, through the disk tier when on."""
 
@@ -199,7 +193,7 @@ def _fetch_echelon(
         directory = _directory
         if directory is None:
             return compute()
-        basis = _load_basis(kind, n, d, m, budget, directory)
+        basis = _load_basis(kind, n, d, m, directory)
         if basis is None:
             basis = compute()
             cache_store(
@@ -215,23 +209,23 @@ def _fetch_echelon(
 
 
 def cached_hit_basis(
-    n: int, d: int, compute: Callable[[], EchelonBasis], budget: Budget | None = None
+    n: int, d: int, compute: Callable[[], EchelonBasis]
 ) -> EchelonBasis:
     """The hit echelon of degree d in n variables; compute() on a miss."""
-    return _fetch_echelon("hit", n, d, monomial_count(n, d), compute, budget)
+    return _fetch_echelon("hit", n, d, monomial_count(n, d), compute)
 
 
 def cached_primitive_basis(
-    n: int, d: int, compute: Callable[[], EchelonBasis], budget: Budget | None = None
+    n: int, d: int, compute: Callable[[], EchelonBasis]
 ) -> EchelonBasis:
     """The primitive echelon of degree d in n variables; compute() on a miss."""
-    return _fetch_echelon("primitive", n, d, monomial_count(n, d), compute, budget)
+    return _fetch_echelon("primitive", n, d, monomial_count(n, d), compute)
 
 
 def cached_boundary_echelon(
-    s: int, w: int, compute: Callable[[], EchelonBasis], budget: Budget | None = None
+    s: int, w: int, compute: Callable[[], EchelonBasis]
 ) -> EchelonBasis:
     """The lambda boundary echelon at bidegree (s, w); compute() on a miss."""
     from .lambda_algebra import bidegree_count
 
-    return _fetch_echelon("lambda-bidegree", s, w, bidegree_count(s, w), compute, budget)
+    return _fetch_echelon("lambda-bidegree", s, w, bidegree_count(s, w), compute)

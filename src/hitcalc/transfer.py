@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .budget import Budget, BudgetError
+from .budget import BudgetError
 from .glrep import coinvariant_classes
 from .homology import DElement, dual_sq
 from .lambda_algebra import (
@@ -134,11 +134,11 @@ class TransferReport:
     representatives: tuple[TransferImage, ...]
 
 
-def transfer_report(n: int, d: int, budget: Budget | None = None) -> TransferReport:
+def transfer_report(n: int, d: int) -> TransferReport:
     """Coinvariant classes with their lambda images, cycle checks and labels."""
     if n > 5:
         raise BudgetError("transfer reports are budgeted for rank <= 5")
-    report = coinvariant_classes(n, d, budget=budget)
+    report = coinvariant_classes(n, d)
     images = []
     for rep in report.class_representatives:
         image = psi(n, rep)

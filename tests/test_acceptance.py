@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from hitcalc.budget import Budget
+from hitcalc import budget
+from hitcalc.budget import HEAVY_BUDGET, Budget
 from hitcalc.gf2 import EchelonBasis
 from hitcalc.glrep import (
     coinvariant_class_nonzero,
@@ -38,6 +39,20 @@ from hitcalc.transfer import class_equal, psi
 BUDGET = Budget.from_mb(2048)
 
 
+@pytest.fixture(scope="module", autouse=True)
+def acceptance_budget():
+    budget.configure(BUDGET)
+    yield
+    budget.configure(None)
+
+
+@pytest.fixture()
+def heavy_budget():
+    budget.configure(HEAVY_BUDGET)
+    yield
+    budget.configure(BUDGET)
+
+
 def verdict(number, label, start):
     print(f"\nACCEPTANCE {number} ({label}): PASS [{time.monotonic() - start:.1f}s]")
 
@@ -53,7 +68,7 @@ def test_criterion_1_generator_oracle_equivalence():
                     oracle.insert_indices(
                         [index[t] for t in sq_exponent_targets(k, tuple(m))]
                     )
-            assert cohit_dim(n, d, budget=BUDGET) == len(index) - oracle.rank, (n, d)
+            assert cohit_dim(n, d) == len(index) - oracle.rank, (n, d)
     verdict(1, "2-power generators match the all-k hit span, n<=3 d<=20", start)
 
 
@@ -62,7 +77,7 @@ def test_criterion_2_peterson_wood():
     for n in range(1, 5):
         for d in range(0, 31):
             if peterson_wood_zero(n, d):
-                assert cohit_dim(n, d, budget=BUDGET) == 0, (n, d)
+                assert cohit_dim(n, d) == 0, (n, d)
     verdict(2, "cohits vanish whenever alpha(n+d) > n, n<=4 d<=30", start)
 
 
@@ -70,9 +85,9 @@ def test_criterion_3_rank4_coinvariant_table():
     start = time.monotonic()
     table = {11: 0, 25: 0, 19: 0, 47: 0, 23: 1, 39: 1, 41: 1}
     for d, expected in sorted(table.items()):
-        assert coinvariant_classes(4, d, budget=BUDGET).dimension == expected, d
-    assert coinvariant_class_nonzero(4, 23, zeta_element("B", 1, 2, 1), budget=BUDGET)
-    assert coinvariant_class_nonzero(4, 41, zeta_element("A", 2, 1, 2), budget=BUDGET)
+        assert coinvariant_classes(4, d).dimension == expected, d
+    assert coinvariant_class_nonzero(4, 23, zeta_element("B", 1, 2, 1))
+    assert coinvariant_class_nonzero(4, 41, zeta_element("A", 2, 1, 2))
     verdict(3, "rank-4 coinvariant dimensions in degrees 11..47", start)
 
 
@@ -110,13 +125,13 @@ def test_criterion_6_lambda_homology_anchors():
     start = time.monotonic()
     for w in range(0, 64):
         expected = 1 if (w + 1) & w == 0 else 0
-        assert homology_dim(1, w, budget=BUDGET) == expected, w
-    assert homology_dim(4, 41, budget=BUDGET) == 1
+        assert homology_dim(1, w) == expected, w
+    assert homology_dim(4, 41) == 1
     # concordance with criterion 3: the transfer domain and target dimensions
     # agree in the two one-dimensional pinned degrees
-    assert homology_dim(4, 23, budget=BUDGET) == 1
-    assert homology_dim(5, 50, budget=BUDGET) == 0
-    assert is_boundary(LambdaElement.from_word(0, 1, 3, 15, 31), budget=BUDGET)
+    assert homology_dim(4, 23) == 1
+    assert homology_dim(5, 50) == 0
+    assert is_boundary(LambdaElement.from_word(0, 1, 3, 15, 31))
     verdict(6, "homology anchors at (1,w<=63), (4,23), (4,41), (5,50)", start)
 
 
@@ -129,11 +144,9 @@ def test_criterion_7_duality():
     start = time.monotonic()
     for n in range(1, 5):
         for d in range(0, 31):
-            assert dual_primitive_kernel(n, d).rank == cohit_dim(
-                n, d, budget=BUDGET
-            ), (n, d)
-            inv = len(invariant_basis(n, d, budget=BUDGET))
-            coinv = coinvariant_classes(n, d, budget=BUDGET).dimension
+            assert dual_primitive_kernel(n, d).rank == cohit_dim(n, d), (n, d)
+            inv = len(invariant_basis(n, d))
+            coinv = coinvariant_classes(n, d).dimension
             assert inv == coinv, (n, d, inv, coinv)
     verdict(7, "invariant and coinvariant dimensions agree, n<=4 d<=30", start)
 
@@ -141,7 +154,7 @@ def test_criterion_7_duality():
 def test_criterion_8_kameko_chains():
     start = time.monotonic()
     assert reduce_degree_chain(5, 215) == [215, 105, 50]
-    assert cohit_dim(3, 11, budget=BUDGET) == cohit_dim(3, 4, budget=BUDGET)
+    assert cohit_dim(3, 11) == cohit_dim(3, 4)
     verdict(8, "degree reduction chains and the (3,11)-(3,4) equality", start)
 
 
@@ -175,9 +188,7 @@ def test_criterion_9_lambda_consistency():
     "coinvariants need ~32 GB and multi-hour elimination; set HITCALC_HEAVY=1 "
     "to attempt it",
 )
-def test_criterion_10_rank5_degree50():
-    from hitcalc.budget import HEAVY_BUDGET
-
+def test_criterion_10_rank5_degree50(heavy_budget):
     start = time.monotonic()
-    assert coinvariant_classes(5, 50, budget=HEAVY_BUDGET).dimension == 0
+    assert coinvariant_classes(5, 50).dimension == 0
     verdict(10, "rank-5 coinvariants vanish in degree 50", start)

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from hitcalc import cli
 from hitcalc.cli import main, thm21_expected
+from hitcalc.hit import cohit_dim
+from hitcalc.homology import DElement
 from hitcalc.reports import VerdictReport, emit_report
 
 
@@ -122,12 +125,47 @@ class TestVerify:
         assert lines[0] == "claim,n,d,expected,computed,pass"
         assert lines[1] == '"thm2.1:t=1,s=1,u=1",4,11,0,0,true'
 
+    def test_thm21_non_primitive_zeta_fails(self, run, monkeypatch):
+        # Sq^8 of the dual of (23).(0).(0).(0) is nonzero
+        monkeypatch.setattr(cli, "_zeta_for", lambda *tsu: DElement([(23, 0, 0, 0)], 4))
+        code, out, _ = run("verify", "thm21", "-t", "1", "-s", "2", "-u", "1")
+        assert code == 1
+        assert out.startswith("FAIL thm2.1:t=1,s=2,u=1") and "primitive=False" in out
+
     def test_warm_cache_is_byte_identical(self, run):
         args = ("--csv", "verify", "thm21", "-t", "1", "-s", "2", "-u", "1")
         code1, out1, _ = run(*args)
         code2, out2, _ = run(*args)
         assert code1 == code2 == 0
         assert out1 == out2  # csv output carries no timing fields
+
+
+class TestBudget:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "verify thm21 -t 2 -s 2 -u 2",
+                "primitive space (4, 81) needs about 1082 MiB, budget is 512 MiB",
+            ),
+            (
+                "--budget-mb 1 cohit -n 4 -d 47",
+                "hit space (4, 47) needs about 45 MiB, budget is 1 MiB",
+            ),
+            ("ext -s 6 -w 120", "bidegree (6, 120) exceeds the word budget"),
+            (
+                "--budget-mb 0 ext -s 4 -w 41",
+                "echelon basis needs about 0 MiB, budget is 0 MiB",
+            ),
+        ],
+    )
+    def test_refusal(self, run, argv, message):
+        assert run(*argv.split()) == (3, "", f"budget exceeded: {message}\n")
+
+    def test_library_calls_after_a_command_use_the_default(self, run):
+        # the hit space (4, 25) needs about 1.3 MiB
+        assert run("--budget-mb", "1", "cohit", "-n", "4", "-d", "25")[0] == 3
+        assert cohit_dim(4, 25) == 120
 
 
 class TestExpectedTable:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitcalc import budget
 from hitcalc.budget import Budget, BudgetError
 from hitcalc.gf2 import BitRow, EchelonBasis, quotient_representatives
 
@@ -185,11 +186,14 @@ class TestCanonicality:
 
 
 def test_budget_error():
-    tiny = Budget(max_bytes=8)
-    b = EchelonBasis(1024, budget=tiny)
-    with pytest.raises(BudgetError):
-        for i in range(100):
-            b.insert_indices([i])
+    budget.configure(Budget(max_bytes=8))
+    try:
+        b = EchelonBasis(1024)
+        with pytest.raises(BudgetError):
+            for i in range(100):
+                b.insert_indices([i])
+    finally:
+        budget.configure(None)
 
 
 def test_insert_indices_parity():

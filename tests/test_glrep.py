@@ -91,6 +91,14 @@ class TestGLMatrix:
         g = parse_glmatrix("11;01")
         assert g @ g.inverse() == GLMatrix.identity(2)
 
+    def test_inverse_of_all_gl3_and_a_gl4_sample(self):
+        for g in [*group_closure(generators(3)), *sample_gl4()]:
+            assert g @ g.inverse() == GLMatrix.identity(g.n), str(g)
+
+    def test_rejects_equal_rows(self):
+        with pytest.raises(ValueError, match="matrix is not invertible over F2"):
+            parse_glmatrix("11;11")
+
 
 class TestGenerators:
     def test_rank_one_trivial(self):

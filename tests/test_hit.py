@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from hitcalc import budget
 from hitcalc.budget import Budget, BudgetError
 from hitcalc.gf2 import EchelonBasis
 from hitcalc.hit import (
@@ -78,8 +79,12 @@ class TestHitBasis:
                 assert hit_basis(n, d).rank == all_k_hit_rank(n, d), (n, d)
 
     def test_budget_error(self):
-        with pytest.raises(BudgetError):
-            hit_basis(5, 50, budget=Budget(max_bytes=1024))
+        budget.configure(Budget(max_bytes=1024))
+        try:
+            with pytest.raises(BudgetError):
+                hit_basis(5, 50)
+        finally:
+            budget.configure(None)
 
 
 class TestCohits:

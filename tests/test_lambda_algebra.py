@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from hitcalc.budget import Budget, BudgetError
+from hitcalc.budget import BudgetError
 from hitcalc.lambda_algebra import (
+    MAX_WORDS_PER_BIDEGREE,
     LambdaElement,
     LambdaWord,
     bidegree_basis,
+    bidegree_count,
     binom2,
     differential,
     homology_dim,
@@ -174,9 +176,9 @@ class TestBidegreeBasis:
         assert {tuple(w) for w in bidegree_basis(3, 8)} == reduced
 
     def test_budget(self):
-        tiny = Budget(max_words_per_bidegree=10)
-        with pytest.raises(BudgetError):
-            homology_dim(6, 49, budget=tiny)
+        assert bidegree_count(6, 120) == 12_499_171 > MAX_WORDS_PER_BIDEGREE
+        with pytest.raises(BudgetError, match="exceeds the word budget"):
+            homology_dim(6, 120)
 
 
 class TestHomology:

@@ -1,5 +1,7 @@
 import pytest
 
+from hitcalc import budget, store
+from hitcalc.budget import Budget, BudgetError
 from hitcalc.homology import DElement, primitive_basis, zeta_element
 from hitcalc.lambda_algebra import LambdaElement, differential, normal_form
 from hitcalc.transfer import (
@@ -66,6 +68,18 @@ class TestClassEqual:
         z = zeta_element("B", 1, 2, 1)
         assert class_equal(psi(4, z), LambdaElement.from_word(15, 3, 3, 2))
 
+    def test_configured_budget_reaches_the_boundary_echelon(self):
+        # the label search of transfer -n 4 -d 23 first compares the image
+        # with h_0h_1h_3h_4, which needs the boundary echelon at (4, 23)
+        image = psi(4, zeta_element("B", 1, 2, 1))
+        store.configure(None)  # nothing memoised: the echelon is built here
+        budget.configure(Budget(max_bytes=8))
+        try:
+            with pytest.raises(BudgetError, match="echelon basis"):
+                class_equal(image, LambdaElement.from_word(0, 1, 7, 15))
+        finally:
+            budget.configure(None)
+
 
 class TestLabels:
     def test_h_words(self):
@@ -84,8 +98,6 @@ class TestLabels:
 
 class TestTransferReport:
     def test_rank_budget(self):
-        from hitcalc.budget import BudgetError
-
         with pytest.raises(BudgetError):
             transfer_report(6, 10)
 
