@@ -1,10 +1,9 @@
 """The one memory budget of the large GF(2) eliminations.
 
-The budget is a hard ceiling on the bytes an echelon basis may hold: every
-:class:`~hitcalc.gf2.EchelonBasis` charges it as it stores a row, and the
-hit and primitive spaces are also checked up front against a dense
-estimate, before any row is generated.  Crossing it raises
-:class:`BudgetError`; a budget never truncates a result.
+The budget is a hard ceiling on the bytes an echelon basis may hold.  Every
+:class:`~hitcalc.gf2.EchelonBasis` charges it the ``sys.getsizeof`` of the row
+ints it stores, with no up-front estimate, and raises :class:`BudgetError`
+once those stored rows cross it; a budget never truncates a result.
 
 There is one budget per process, set with :func:`configure`.  The command
 line sets it once per command from ``--budget-mb`` and ``--allow-heavy``
@@ -47,10 +46,11 @@ def configure(limit: Budget | None) -> None:
     _current = DEFAULT_BUDGET if limit is None else limit
 
 
-def check_bytes(needed: int, what: str) -> None:
-    """Raise BudgetError if needed bytes exceed the configured budget."""
+def check_bytes(needed: int) -> None:
+    """Raise BudgetError if an echelon basis holding needed bytes exceeds the budget."""
     if needed > _current.max_bytes:
+        need, limit = -(-needed * 10 // 2**20), _current.max_bytes * 10 // 2**20
         raise BudgetError(
-            f"{what} needs about {needed // (1024 * 1024)} MiB, "
-            f"budget is {_current.max_bytes // (1024 * 1024)} MiB"
+            f"echelon basis needs about {need / 10:.1f} MiB, "
+            f"budget is {limit / 10:.1f} MiB"
         )

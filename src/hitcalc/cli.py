@@ -65,13 +65,10 @@ def _zeta_for(family: str, t: int, s: int, u: int):
 
 class _Ctx:
     def __init__(self, args: argparse.Namespace):
-        budget.configure(
-            Budget.from_mb(args.budget_mb)
-            if args.budget_mb is not None
-            else HEAVY_BUDGET
-            if args.allow_heavy
-            else None
-        )
+        limit = HEAVY_BUDGET if args.allow_heavy else None
+        if args.budget_mb is not None:
+            limit = Budget.from_mb(args.budget_mb)
+        budget.configure(limit)
         self.allow_heavy = args.allow_heavy
         store.configure(None if args.no_cache else store.cache_dir(args.cache_dir))
         self.fmt = "json" if args.json else "csv" if args.csv else "text"

@@ -25,6 +25,7 @@ Faugere-Lachartre (PASCO 2010).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import getsizeof
 from typing import Iterable, Sequence
 
 from .budget import check_bytes
@@ -95,15 +96,18 @@ class EchelonBasis:
     reduces the new row against the stored ones and reports whether the span
     grew.  ``row_ints``, ``rows``, ``kernel`` and ``==`` see the canonical
     reduced form, which depends only on the span, not on insertion order.
-    Each stored row is charged to the configured budget (``hitcalc.budget``).
+    This is the one place the budget (``hitcalc.budget``) is charged, with no
+    up-front estimate: a refusal comes once the ``getsizeof`` total of the stored
+    row ints crosses it, checked per insert and after the canonical form rewrites
+    (and may grow) the rows.
     """
 
     def __init__(self, ambient_length: int):
         if ambient_length < 0:
             raise ValueError("ambient_length must be non-negative")
         self.ambient_length = ambient_length
-        self._row_bytes = max(1, (ambient_length + 63) // 64) * 8
         self._rows: dict[int, int] = {}  # pivot coordinate -> row
+        self._bytes = 0  # sys.getsizeof summed over the stored rows
         self._pivot_mask = 0  # bit p set iff p is a pivot
         self._canonical = True
 
@@ -160,7 +164,9 @@ class EchelonBasis:
         bits = self._reduce(bits)
         if not bits:
             return False
-        check_bytes((len(self._rows) + 1) * self._row_bytes, "echelon basis")
+        held = self._bytes + getsizeof(bits)
+        check_bytes(held)
+        self._bytes = held
         low = bits & -bits
         self._rows[low.bit_length() - 1] = bits
         self._pivot_mask |= low
@@ -179,6 +185,8 @@ class EchelonBasis:
             for q in ones((row & mask) ^ (1 << p)):
                 row ^= rows[q]
             rows[p] = row
+        self._bytes = sum(map(getsizeof, rows.values()))
+        check_bytes(self._bytes)
         self._canonical = True
 
     def insert_indices(self, indices: Sequence[int]) -> bool:

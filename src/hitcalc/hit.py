@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import budget, store
+from . import store
 from .gf2 import EchelonBasis, quotient_representatives
 from .steenrod import (
     Monomial,
@@ -144,9 +144,7 @@ def hit_echelon(n: int, d: int) -> EchelonBasis:
 
     The generator rows go into the elimination as they are produced.
     """
-    dim = monomial_count(n, d)
-    budget.check_bytes(dim * ((dim + 63) // 64) * 8, f"hit space ({n}, {d})")
-    basis = EchelonBasis(dim)
+    basis = EchelonBasis(monomial_count(n, d))
     for row in _generator_rows(n, d):
         basis.insert_int(row)
     return basis

@@ -24,10 +24,10 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import budget, store
+from . import store
 from .gf2 import EchelonBasis, ones
 from .hit import hit_echelon
-from .steenrod import Polynomial, _tuples, degree_index, monomial_count
+from .steenrod import Polynomial, _tuples, degree_index
 from .terms import Term, TermSet
 
 __all__ = [
@@ -184,8 +184,6 @@ def primitive_basis(n: int, d: int) -> PrimitiveBasis:
         raise ValueError("need n >= 1 and d >= 0")
 
     def compute() -> EchelonBasis:
-        dim = monomial_count(n, d)
-        budget.check_bytes(dim * ((dim + 63) // 64) * 8, f"primitive space ({n}, {d})")
         hit = store.peek("hit", n, d)
         if hit is None:
             hit = hit_echelon(n, d)

@@ -293,12 +293,8 @@ def _enumerate_words(s: int, w: int, bound: int | None) -> Iterator[tuple[int, .
 
 @functools.lru_cache(maxsize=256)
 def bidegree_basis_tuples(s: int, w: int) -> tuple[tuple[int, ...], ...]:
-    count = bidegree_count(s, w)
-    if count > MAX_WORDS_PER_BIDEGREE:
-        raise BudgetError(
-            f"bidegree ({s}, {w}) has {count} reduced words, "
-            f"budget {MAX_WORDS_PER_BIDEGREE}"
-        )
+    if bidegree_count(s, w) > MAX_WORDS_PER_BIDEGREE:
+        raise BudgetError(f"bidegree ({s}, {w}) exceeds the word budget")
     return tuple(sorted(_enumerate_words(s, w, None)))
 
 
@@ -318,14 +314,15 @@ def boundary_echelon(s: int, w: int) -> EchelonBasis:
     """
 
     def compute() -> EchelonBasis:
+        # sources first: homology_dim(s - 1, w + 1) builds this echelon first,
+        # and its word cap then names the bidegree asked for
+        sources = bidegree_basis_tuples(s - 1, w + 1) if s >= 1 else ()
         target = bidegree_basis_tuples(s, w)
         index = {t: i for i, t in enumerate(target)}
         basis = EchelonBasis(len(target))
-        if s >= 1:
-            basis.extend(
-                [index[t] for t in _differential_words((source,))]
-                for source in bidegree_basis_tuples(s - 1, w + 1)
-            )
+        basis.extend(
+            [index[t] for t in _differential_words((source,))] for source in sources
+        )
         return basis
 
     return store.cached_boundary_echelon(s, w, compute)
@@ -361,8 +358,6 @@ def homology_dim(s: int, w: int) -> int:
     m = bidegree_count(s, w)
     if m == 0:
         return 0
-    if m > MAX_WORDS_PER_BIDEGREE:
-        raise BudgetError(f"bidegree ({s}, {w}) exceeds the word budget")
     rank_out = boundary_echelon(s + 1, w - 1).rank if w >= 1 else 0
     rank_in = boundary_echelon(s, w).rank
     return m - rank_out - rank_in

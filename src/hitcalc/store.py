@@ -14,19 +14,20 @@ reuse (``peek``) a hit space the memory tier already holds.
 HPB1 layout, all little-endian:
 
     magic   4s   b"HPB1"
-    version u16  1
+    version u16  2
     kind    u8   1 = hit, 2 = primitive, 3 = lambda-bidegree
     n_or_s  u32  variable count (or word length)
     d_or_w  u32  degree (or weight)
     m       u64  ambient coordinate count
     r       u64  rank
     rows    r * ceil(m / 64) u64 words
+    crc     u32  zlib.crc32 of everything before it
 
 Rows are the canonical echelon rows in pivot order, so a load/store round
 trip is byte-identical.  Stores are atomic (temp file + rename); loads
-validate the header, the shape and the canonical form of the rows, and
-report a miss on any defect, so a corrupt cache can cost time but never
-correctness.  A flipped bit that leaves the rows canonical is not caught.
+validate the header, the shape, the checksum and the canonical form of the
+rows, and report a miss on any defect, so a corrupt cache can cost time but
+never correctness.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import os
 import struct
 import sys
 import tempfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 MAGIC = b"HPB1"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sHBIIQQ")
 _KINDS = {"hit": 1, "primitive": 2, "lambda-bidegree": 3}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
@@ -118,8 +120,8 @@ def encode(entry: CacheEntry) -> bytes:
     head = _HEADER.pack(
         MAGIC, VERSION, _KINDS[entry.kind], entry.n, entry.d, entry.m, entry.rank
     )
-    body = b"".join(row.to_bytes(words * 8, "little") for row in entry.rows)
-    return head + body
+    blob = head + b"".join(row.to_bytes(words * 8, "little") for row in entry.rows)
+    return blob + zlib.crc32(blob).to_bytes(4, "little")
 
 
 def decode(blob: bytes) -> CacheEntry | None:
@@ -129,7 +131,9 @@ def decode(blob: bytes) -> CacheEntry | None:
     if magic != MAGIC or version != VERSION or kind not in _KIND_NAMES:
         return None
     words = max(1, (m + 63) // 64)
-    if len(blob) != _HEADER.size + r * words * 8:
+    if len(blob) != _HEADER.size + r * words * 8 + 4:
+        return None
+    if zlib.crc32(memoryview(blob)[:-4]) != int.from_bytes(blob[-4:], "little"):
         return None
     rows = []
     off = _HEADER.size

@@ -145,17 +145,17 @@ class TestBudget:
         "argv, message",
         [
             (
-                "verify thm21 -t 2 -s 2 -u 2",
-                "primitive space (4, 81) needs about 1082 MiB, budget is 512 MiB",
+                "--budget-mb 64 verify thm21 -t 2 -s 2 -u 2",
+                "echelon basis needs about 64.1 MiB, budget is 64.0 MiB",
             ),
             (
                 "--budget-mb 1 cohit -n 4 -d 47",
-                "hit space (4, 47) needs about 45 MiB, budget is 1 MiB",
+                "echelon basis needs about 1.1 MiB, budget is 1.0 MiB",
             ),
             ("ext -s 6 -w 120", "bidegree (6, 120) exceeds the word budget"),
             (
                 "--budget-mb 0 ext -s 4 -w 41",
-                "echelon basis needs about 0 MiB, budget is 0 MiB",
+                "echelon basis needs about 0.1 MiB, budget is 0.0 MiB",
             ),
         ],
     )
@@ -163,9 +163,9 @@ class TestBudget:
         assert run(*argv.split()) == (3, "", f"budget exceeded: {message}\n")
 
     def test_library_calls_after_a_command_use_the_default(self, run):
-        # the hit space (4, 25) needs about 1.3 MiB
-        assert run("--budget-mb", "1", "cohit", "-n", "4", "-d", "25")[0] == 3
-        assert cohit_dim(4, 25) == 120
+        # the rows of the hit space (4, 35) take more than 1 MiB
+        assert run("--budget-mb", "1", "cohit", "-n", "4", "-d", "35")[0] == 3
+        assert cohit_dim(4, 35) == 120
 
 
 class TestExpectedTable:

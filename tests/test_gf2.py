@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,35 @@ def test_budget_error():
                 b.insert_indices([i])
     finally:
         budget.configure(None)
+
+
+@pytest.fixture
+def limit():
+    """Configure a budget of the given bytes for one test."""
+    yield lambda nbytes: budget.configure(Budget(max_bytes=nbytes))
+    budget.configure(None)
+
+
+def test_budget_charges_the_row_ints_held(limit):
+    # a dense row of 10**6 coordinates would take 125,000 bytes; these
+    # ten rows hold 28 bytes each
+    limit(4096)
+    b = EchelonBasis(10**6)
+    for i in range(10):
+        b.insert_indices([i])
+    assert b.row_ints() == [1 << i for i in range(10)]
+
+
+def test_back_substitution_that_grows_a_row_is_charged(limit):
+    high = 1 << 100_000
+    limit(sys.getsizeof(0b11) + sys.getsizeof(0b10 | high))
+    b = EchelonBasis(100_001)
+    b.insert_int(0b11)  # pivot 0, with a one at the next row's pivot
+    b.insert_int(0b10 | high)
+    assert b.rank == 2  # both forward rows fit exactly
+    for _ in range(2):  # clearing coordinate 1 gives the first row the high bit
+        with pytest.raises(BudgetError, match="echelon basis"):
+            b.row_ints()
 
 
 def test_insert_indices_parity():

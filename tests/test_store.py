@@ -65,28 +65,36 @@ class TestValidation:
 
 
     @pytest.mark.parametrize(
-        "byte, bit",
+        "argv, name, byte, bit",
         [
-            (31, 0),  # the first row's lowest bit, right after the header
-            (38, 7),  # a padding bit above the 55 coordinates of (3, 9)
+            # the first row's lowest bit, right after the header
+            pytest.param(["cohit"], "hit", 31, 0, id="31-0"),
+            # a padding bit above the 55 coordinates of (3, 9)
+            pytest.param(["cohit"], "hit", 38, 7, id="38-7"),
+            # coordinate 12 of the first row, not a pivot: the rows stay
+            # canonical, and only the checksum tells that the basis changed
+            pytest.param(
+                ["primitives", "--basis"], "primitive", 32, 4, id="primitive-32-4"
+            ),
         ],
     )
-    def test_corrupt_body_recomputes(self, tmp_path, capsys, byte, bit):
-        args = ["--cache-dir", str(tmp_path), "cohit", "-n", "3", "-d", "9"]
+    def test_corrupt_body_recomputes(self, tmp_path, capsys, argv, name, byte, bit):
+        args = ["--cache-dir", str(tmp_path), *argv, "-n", "3", "-d", "9"]
         assert main(args) == 0
-        assert capsys.readouterr().out.startswith("dimension 7\n")
-        path = tmp_path / "hit_n3_d9.hpb1"
+        clean = capsys.readouterr().out
+        assert "dimension 7\n" in clean
+        path = tmp_path / f"{name}_n3_d9.hpb1"
         blob = bytearray(path.read_bytes())
         blob[byte] ^= 1 << bit
         path.write_bytes(bytes(blob))
 
         assert main(args) == 0
         out, err = capsys.readouterr()
-        assert out.startswith("dimension 7\n")
+        assert out == clean
         assert "ignoring corrupt cache entry" in err
         assert main(args) == 0  # the recomputed entry was stored again
         out, err = capsys.readouterr()
-        assert out.startswith("dimension 7\n") and err == ""
+        assert out == clean and err == ""
 
 
 class TestAtomicity:
