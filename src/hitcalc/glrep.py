@@ -331,19 +331,22 @@ def _coinvariant_data(n: int, d: int) -> tuple[PrimitiveBasis, EchelonBasis]:
         p = prim.dimension
         relations = EchelonBasis(p)
         if p:
-            rows = prim.echelon.row_ints()
-            position = {piv: j for j, piv in enumerate(prim.echelon.pivots)}
+            pivots = prim.echelon.pivots
+            position = {piv: j for j, piv in enumerate(pivots)}
             pivot_mask = sum(1 << piv for piv in position)
-            coords = [ones(v) for v in rows]
+            coords = [ones(v) for v in prim.echelon.iter_row_ints()]
             for g in generators(n):
                 act = _homology_action(g, d)
-                for v, support in zip(rows, coords):
-                    w = act(support) ^ v
-                    if prim.echelon.reduce_int(w) != 0:
+                for piv, support in zip(pivots, coords):
+                    image = act(support)
+                    if prim.echelon.reduce_int(image) != 0:
                         raise RuntimeError(
                             "group image left the primitive subspace; convention bug"
                         )
-                    relations.insert_indices([position[c] for c in ones(w & pivot_mask)])
+                    # (g - 1)v = image ^ v, and of the pivots a canonical
+                    # row v has only its own set
+                    w = (image & pivot_mask) ^ (1 << piv)
+                    relations.insert_indices([position[c] for c in ones(w)])
         return prim, relations
 
     return store.fetch("coinvariant", n, d, compute)

@@ -39,7 +39,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .gf2 import EchelonBasis
 from .steenrod import monomial_count
@@ -94,15 +94,18 @@ def fetch(kind: str, n: int, d: int, compute: Callable[[], T]) -> T:
 
 @dataclass(frozen=True)
 class CacheEntry:
+    """One basis file: its key, its coordinate count m and its canonical rows.
+
+    ``decode`` gives the rows as a tuple.  An entry to be stored may carry any
+    iterable of them, such as ``EchelonBasis.iter_row_ints()``, so that no
+    dense copy of every row is built; ``encode`` reads it once.
+    """
+
     kind: str
     n: int
     d: int
     m: int
-    rows: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    rows: Iterable[int]
 
 
 def cache_dir(override: str | None = None) -> Path:
@@ -115,16 +118,21 @@ def _filename(kind: str, n: int, d: int) -> str:
     return f"{kind}_n{n}_d{d}.hpb1"
 
 
-def encode(entry: CacheEntry) -> bytes:
-    words = max(1, (entry.m + 63) // 64)
-    head = _HEADER.pack(
-        MAGIC, VERSION, _KINDS[entry.kind], entry.n, entry.d, entry.m, entry.rank
+def encode(entry: CacheEntry) -> bytearray:
+    width = max(1, (entry.m + 63) // 64) * 8
+    blob = bytearray(_HEADER.size)  # packed once the rows are counted
+    rank = 0
+    for row in entry.rows:
+        blob += row.to_bytes(width, "little")
+        rank += 1
+    _HEADER.pack_into(
+        blob, 0, MAGIC, VERSION, _KINDS[entry.kind], entry.n, entry.d, entry.m, rank
     )
-    blob = head + b"".join(row.to_bytes(words * 8, "little") for row in entry.rows)
-    return blob + zlib.crc32(blob).to_bytes(4, "little")
+    blob += zlib.crc32(blob).to_bytes(4, "little")
+    return blob
 
 
-def decode(blob: bytes) -> CacheEntry | None:
+def decode(blob: bytes | bytearray) -> CacheEntry | None:
     if len(blob) < _HEADER.size:
         return None
     magic, version, kind, n, d, m, r = _HEADER.unpack_from(blob)
@@ -177,11 +185,14 @@ def _load_basis(
     entry = cache_load(kind, n, d, directory)
     if entry is None or entry.m != m:
         return None
-    if not any(row >> m for row in entry.rows):  # no set bit past the last coordinate
+    rows = tuple(entry.rows)  # decoded rows are a tuple already: no copy
+    if not any(row >> m for row in rows):  # no set bit past the last coordinate
         basis = EchelonBasis(m)
-        for row in entry.rows:
+        for row in rows:
             basis.insert_int(row)
-        if basis.row_ints() == list(entry.rows):
+        if basis.rank == len(rows) and all(
+            a == b for a, b in zip(basis.iter_row_ints(), rows)
+        ):
             return basis
     path = directory / _filename(kind, n, d)
     print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
@@ -201,7 +212,7 @@ def _fetch_echelon(
         if basis is None:
             basis = compute()
             cache_store(
-                CacheEntry(kind, n, d, basis.ambient_length, tuple(basis.row_ints())),
+                CacheEntry(kind, n, d, basis.ambient_length, basis.iter_row_ints()),
                 directory,
             )
         return basis

@@ -214,6 +214,18 @@ def test_budget_charges_the_row_ints_held(limit):
     assert b.row_ints() == [1 << i for i in range(10)]
 
 
+def test_budget_charges_rows_shifted_to_their_pivot(limit):
+    # as absolute ints these rows would take about 133,000 bytes each;
+    # shifted down to their pivots they hold one bit each
+    limit(4096)
+    top = 10**6
+    b = EchelonBasis(top)
+    for i in range(10):
+        b.insert_int(1 << (top - 1 - i))
+    assert not b.insert_int(0b11 << (top - 2))  # the sum of the two top rows
+    assert b.row_ints() == [1 << (top - 10 + i) for i in range(10)]
+
+
 def test_back_substitution_that_grows_a_row_is_charged(limit):
     high = 1 << 100_000
     limit(sys.getsizeof(0b11) + sys.getsizeof(0b10 | high))
@@ -254,9 +266,11 @@ class TestInsertInt:
         assert by_int.pivots == by_indices.pivots
 
 
-class TestAgainstEagerOracle:
-    WIDTH = 12
+def coords_bits(coords):
+    return sum(1 << c for c in set(coords))
 
+
+class TestAgainstEagerOracle:
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
@@ -267,20 +281,49 @@ class TestAgainstEagerOracle:
         st.randoms(use_true_random=False),
     )
     def test_forward_elimination_matches_oracle(self, bits, probe, rnd):
+        self.check(12, bits, probe, rnd)
+
+    # 200 coordinates span seven 30-bit digits of a Python int.  Rows
+    # clustered above coordinate 120 have pivots far from bit 0, so shifting
+    # them to their pivots and back crosses digit boundaries; a few sparse
+    # rows anywhere give shifts of every size.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=(1 << 80) - 1).map(
+                    lambda v: v << 120
+                ),
+                st.lists(st.integers(min_value=120, max_value=199), max_size=5).map(
+                    coords_bits
+                ),
+                st.lists(st.integers(min_value=0, max_value=199), max_size=3).map(
+                    coords_bits
+                ),
+            ),
+            max_size=24,
+        ),
+        st.integers(min_value=0, max_value=(1 << 200) - 1),
+        st.randoms(use_true_random=False),
+    )
+    def test_rows_across_int_digits_match_oracle(self, bits, probe, rnd):
+        self.check(200, bits, probe, rnd)
+
+    def check(self, width, bits, probe, rnd):
         rows = bits + bits[: len(bits) // 2]  # duplicates
         rnd.shuffle(rows)
         half = len(rows) // 2
         expected = eager_rref(rows)
 
-        one = EchelonBasis(self.WIDTH)
+        one = EchelonBasis(width)
         for v in rows[:half]:
             one.insert_indices(support(v))
         assert one.row_ints() == eager_rref(rows[:half])
         for v in rows[half:]:  # inserts after the canonical form was read
             one.insert_indices(support(v))
-        batch = EchelonBasis(self.WIDTH)
+        batch = EchelonBasis(width)
         batch.extend(support(v) for v in rows)
-        packed = EchelonBasis(self.WIDTH)
+        packed = EchelonBasis(width)
         for v in rows:
             packed.insert_int(v)
 
@@ -289,4 +332,6 @@ class TestAgainstEagerOracle:
             assert b.pivots == tuple((r & -r).bit_length() - 1 for r in expected)
             assert b.reduce_int(probe) == eager_reduce(expected, probe)
             assert b.row_ints() == expected
-            assert b.kernel().row_ints() == eager_kernel(expected, self.WIDTH)
+            assert b.kernel().row_ints() == eager_kernel(expected, width)
+        assert one == batch == packed
+        assert (one == EchelonBasis(width)) == (not expected)

@@ -38,6 +38,11 @@ class TestRoundTrip:
         entry = CacheEntry("lambda-bidegree", 4, 23, 100, (1 << 99, 0b101))
         assert decode(encode(entry)) == entry
 
+    def test_encode_reads_rows_from_an_iterator(self):
+        entry = CacheEntry("lambda-bidegree", 4, 23, 100, (0b101, 1 << 99))
+        streamed = CacheEntry("lambda-bidegree", 4, 23, 100, iter(entry.rows))
+        assert decode(encode(streamed)) == entry
+
     def test_missing_is_miss(self, tmp_path):
         assert cache_load("hit", 9, 9, tmp_path) is None
 
@@ -153,6 +158,21 @@ class TestCachedWrappers:
         hit_basis(3, 7)
         store.configure(tmp_path)
         assert hit_basis(3, 7).basis.row_ints() == direct
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (0b11, 0b10),  # independent, but the first row has a one at a pivot
+            (0b10, 0b01),  # canonical rows out of pivot order
+            (0b01, 0b01),  # one row twice: rank 1, not 2
+            (0b100,),  # a bit past the two coordinates
+        ],
+    )
+    def test_rows_that_are_not_canonical_recompute(self, tmp_path, capsys, rows):
+        cache_store(CacheEntry("hit", 2, 1, 2, rows), tmp_path)  # checksum intact
+        fresh = EchelonBasis(2)
+        assert cached_hit_basis(2, 1, lambda: fresh) is fresh
+        assert "ignoring corrupt cache entry" in capsys.readouterr().err
 
     def test_memory_tier_serves_repeats(self):
         store.configure(None)
