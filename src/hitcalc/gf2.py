@@ -109,8 +109,8 @@ class EchelonBasis:
     order; the first two hand out absolute ints.  This is the one place the
     budget (``hitcalc.budget``) is charged, with no up-front estimate: a
     refusal comes once the ``getsizeof`` total of the shifted row ints held
-    crosses it, checked per insert and after the canonical form rewrites (and
-    may grow) the rows.
+    crosses it, checked per insert, after the canonical form rewrites (and
+    may grow) the rows, and once for a basis built by ``from_canonical_rows``.
     """
 
     def __init__(self, ambient_length: int):
@@ -121,6 +121,37 @@ class EchelonBasis:
         self._bytes = 0  # sys.getsizeof summed over the stored (shifted) rows
         self._pivot_mask = 0  # bit p set iff p is a pivot
         self._canonical = True
+
+    @classmethod
+    def from_canonical_rows(
+        cls, ambient_length: int, rows: Sequence[int]
+    ) -> "EchelonBasis | None":
+        """The basis whose ``row_ints()`` are rows, or None if rows are not a
+        canonical RREF: each row positive with no bit at or past
+        ambient_length, pivots strictly increasing, and no row with a one at
+        another row's pivot.
+
+        One pass from the last row down checks all three with no elimination:
+        a row can only hold the pivots of the rows after it.  The budget is
+        charged once, for the shifted rows.
+        """
+        out = cls(ambient_length)
+        shifted = out._rows
+        mask = 0  # the pivots of the rows after the current one
+        for row in reversed(rows):
+            if row <= 0 or row >> ambient_length:
+                return None
+            low = row & -row
+            # every later pivot lies above this one, and this row misses them
+            if (row | (low - 1)) & mask:
+                return None
+            p = low.bit_length() - 1
+            shifted[p] = row >> p
+            mask |= low
+        out._pivot_mask = mask
+        out._bytes = sum(map(getsizeof, shifted.values()))
+        check_bytes(out._bytes)
+        return out
 
     # -- queries ------------------------------------------------------------
 

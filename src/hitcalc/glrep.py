@@ -325,10 +325,10 @@ class CoinvariantReport:
 
 def _coinvariant_data(n: int, d: int) -> tuple[PrimitiveBasis, EchelonBasis]:
     """The primitive basis and the echelonized (g - 1) relation space, memoised."""
+    prim = primitive_basis(n, d)
+    p = prim.dimension
 
-    def compute() -> tuple[PrimitiveBasis, EchelonBasis]:
-        prim = primitive_basis(n, d)
-        p = prim.dimension
+    def compute() -> EchelonBasis:
         relations = EchelonBasis(p)
         if p:
             pivots = prim.echelon.pivots
@@ -347,9 +347,9 @@ def _coinvariant_data(n: int, d: int) -> tuple[PrimitiveBasis, EchelonBasis]:
                     # row v has only its own set
                     w = (image & pivot_mask) ^ (1 << piv)
                     relations.insert_indices([position[c] for c in ones(w)])
-        return prim, relations
+        return relations
 
-    return store.fetch("coinvariant", n, d, compute)
+    return prim, store.cached_coinvariant_relations(n, d, p, compute)
 
 
 def coinvariant_classes(n: int, d: int) -> CoinvariantReport:

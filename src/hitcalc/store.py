@@ -2,31 +2,35 @@
 
 Every memoised value is keyed by (kind, n, d).  The memory tier is always
 on and serves library calls; ``configure`` empties it.  The disk tier holds
-the echelon kinds (hit, primitive, lambda-bidegree) and is on only while
-``configure`` names a directory, which the command line does once per
-command from ``--cache-dir``, ``--no-cache`` and ``$HITCALC_CACHE``; outside
-a command nothing touches disk.  A command writes the bases it asks for and
-never their intermediates: a primitive space is the kernel of a hit space
-that it neither memoises nor writes, since at (4, 35) writing it would cost
-an extra 8.8 MB file and raise peak RSS from 25 MiB to 42 MiB.  It does
-reuse (``peek``) a hit space the memory tier already holds.
+the echelon kinds (hit, primitive, lambda-bidegree, and the coinvariant
+relations over the primitive basis) and is on only while ``configure``
+names a directory, which the command line does once per command from
+``--cache-dir``, ``--no-cache`` and ``$HITCALC_CACHE``; outside a command
+nothing touches disk.  A command writes the bases it asks for and never
+their intermediates: a primitive space is the kernel of a hit space that it
+neither memoises nor writes, since at (4, 35) writing it would cost an
+extra 8.9 MB file and raise peak RSS from 22 MiB to 27 MiB.  It does reuse
+(``peek``) a hit space the memory tier already holds.
 
 HPB1 layout, all little-endian:
 
     magic   4s   b"HPB1"
     version u16  2
-    kind    u8   1 = hit, 2 = primitive, 3 = lambda-bidegree
+    kind    u8   1 = hit, 2 = primitive, 3 = lambda-bidegree, 4 = coinvariant
     n_or_s  u32  variable count (or word length)
     d_or_w  u32  degree (or weight)
-    m       u64  ambient coordinate count
+    m       u64  ambient coordinate count (for coinvariant: the primitive
+                 dimension p, the relations being over the primitive basis)
     r       u64  rank
     rows    r * ceil(m / 64) u64 words
     crc     u32  zlib.crc32 of everything before it
 
 Rows are the canonical echelon rows in pivot order, so a load/store round
 trip is byte-identical.  Stores are atomic (temp file + rename); loads
-validate the header, the shape, the checksum and the canonical form of the
-rows, and report a miss on any defect, so a corrupt cache can cost time but
+validate the header, the shape and the checksum, and check that the rows
+are the canonical form (``EchelonBasis.from_canonical_rows``) without
+re-eliminating them.  They report a miss, with a warning, on any defect or
+an m other than the one asked for, so a corrupt cache can cost time but
 never correctness.
 """
 
@@ -55,12 +59,13 @@ __all__ = [
     "cached_hit_basis",
     "cached_primitive_basis",
     "cached_boundary_echelon",
+    "cached_coinvariant_relations",
 ]
 
 MAGIC = b"HPB1"
 VERSION = 2
 _HEADER = struct.Struct("<4sHBIIQQ")
-_KINDS = {"hit": 1, "primitive": 2, "lambda-bidegree": 3}
+_KINDS = {"hit": 1, "primitive": 2, "lambda-bidegree": 3, "coinvariant": 4}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
 
 ENV_VAR = "HITCALC_CACHE"
@@ -181,22 +186,19 @@ def cache_store(entry: CacheEntry, directory: Path) -> Path:
 def _load_basis(
     kind: str, n: int, d: int, m: int, directory: Path
 ) -> EchelonBasis | None:
-    """The cached basis, or None on a miss or an entry that is not canonical."""
+    """The cached basis, or None on a miss or an entry of another m or not canonical.
+
+    The rows go into the basis as they are, checked but never re-eliminated.
+    """
     entry = cache_load(kind, n, d, directory)
-    if entry is None or entry.m != m:
+    if entry is None:
         return None
     rows = tuple(entry.rows)  # decoded rows are a tuple already: no copy
-    if not any(row >> m for row in rows):  # no set bit past the last coordinate
-        basis = EchelonBasis(m)
-        for row in rows:
-            basis.insert_int(row)
-        if basis.rank == len(rows) and all(
-            a == b for a, b in zip(basis.iter_row_ints(), rows)
-        ):
-            return basis
-    path = directory / _filename(kind, n, d)
-    print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
-    return None
+    basis = EchelonBasis.from_canonical_rows(m, rows) if entry.m == m else None
+    if basis is None:
+        path = directory / _filename(kind, n, d)
+        print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
+    return basis
 
 
 def _fetch_echelon(
@@ -244,3 +246,11 @@ def cached_boundary_echelon(
     from .lambda_algebra import bidegree_count
 
     return _fetch_echelon("lambda-bidegree", s, w, bidegree_count(s, w), compute)
+
+
+def cached_coinvariant_relations(
+    n: int, d: int, p: int, compute: Callable[[], EchelonBasis]
+) -> EchelonBasis:
+    """The (g - 1) relation echelon over the p primitives of degree d in n
+    variables; compute() on a miss."""
+    return _fetch_echelon("coinvariant", n, d, p, compute)

@@ -145,8 +145,8 @@ class TestBudget:
         "argv, message",
         [
             (
-                "--budget-mb 64 verify thm21 -t 2 -s 2 -u 2",
-                "echelon basis needs about 64.1 MiB, budget is 64.0 MiB",
+                "--budget-mb 1 verify thm21 -t 1 -s 1 -u 3",
+                "echelon basis needs about 1.1 MiB, budget is 1.0 MiB",
             ),
             (
                 "--budget-mb 1 cohit -n 4 -d 47",

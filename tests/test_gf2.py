@@ -335,3 +335,58 @@ class TestAgainstEagerOracle:
             assert b.kernel().row_ints() == eager_kernel(expected, width)
         assert one == batch == packed
         assert (one == EchelonBasis(width)) == (not expected)
+
+
+class TestFromCanonicalRows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=(1 << 200) - 1), max_size=12),
+        st.lists(st.integers(min_value=0, max_value=199), max_size=6).map(coords_bits),
+    )
+    def test_accepts_the_rows_of_any_basis(self, bits, probe):
+        packed = EchelonBasis(200)
+        for v in bits:
+            packed.insert_int(v)
+        expected = eager_rref(bits)
+        loaded = EchelonBasis.from_canonical_rows(200, tuple(expected))
+        assert loaded is not None and loaded == packed
+        assert loaded.rank == len(expected)
+        assert loaded.row_ints() == expected
+        assert loaded.reduce_int(probe) == eager_reduce(expected, probe)
+        assert loaded.kernel().row_ints() == eager_kernel(expected, 200)
+
+    # over five coordinates a short random list is often canonical already
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=4))
+    def test_accepts_exactly_the_canonical_rows(self, rows):
+        # bit 5 is past the five coordinates, so the oracle over six keeps it
+        canonical = rows == eager_rref(rows) and not any(v >> 5 for v in rows)
+        loaded = EchelonBasis.from_canonical_rows(5, rows)
+        assert (loaded is not None) == canonical
+        if loaded is not None:
+            assert loaded.row_ints() == rows
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param((0b001, 0), id="zero-row"),
+            pytest.param((0b1000,), id="bit-at-m"),
+            pytest.param((0b10000001,), id="bit-past-m"),
+            pytest.param((-0b10,), id="negative"),
+            pytest.param((0b100, 0b010), id="pivots-out-of-order"),
+            pytest.param((0b010, 0b010), id="pivot-twice"),
+            pytest.param((0b011, 0b010), id="holds-a-later-pivot"),
+        ],
+    )
+    def test_rejects(self, rows):
+        assert EchelonBasis.from_canonical_rows(3, rows) is None
+
+    def test_charges_the_shifted_rows_once(self, limit):
+        top = 10**6
+        rows = tuple(1 << (top - 10 + i) for i in range(10))  # one bit each, shifted
+        limit(10 * sys.getsizeof(1))
+        loaded = EchelonBasis.from_canonical_rows(top, rows)
+        assert loaded is not None and loaded.row_ints() == list(rows)
+        limit(10 * sys.getsizeof(1) - 1)
+        with pytest.raises(BudgetError, match="echelon basis"):
+            EchelonBasis.from_canonical_rows(top, rows)

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from hitcalc import hit, store
+from hitcalc import glrep, hit, store
 from hitcalc.cli import main
 from hitcalc.gf2 import EchelonBasis
 from hitcalc.hit import cohit_dim, hit_basis
@@ -70,24 +70,41 @@ class TestValidation:
 
 
     @pytest.mark.parametrize(
-        "argv, name, byte, bit",
+        "argv, name, byte, bit, head",
         [
             # the first row's lowest bit, right after the header
-            pytest.param(["cohit"], "hit", 31, 0, id="31-0"),
+            pytest.param(["cohit"], "hit", 31, 0, "dimension 7\n", id="31-0"),
             # a padding bit above the 55 coordinates of (3, 9)
-            pytest.param(["cohit"], "hit", 38, 7, id="38-7"),
+            pytest.param(["cohit"], "hit", 38, 7, "dimension 7\n", id="38-7"),
             # coordinate 12 of the first row, not a pivot: the rows stay
             # canonical, and only the checksum tells that the basis changed
             pytest.param(
-                ["primitives", "--basis"], "primitive", 32, 4, id="primitive-32-4"
+                ["primitives", "--basis"],
+                "primitive",
+                32,
+                4,
+                "dimension 7\n",
+                id="primitive-32-4",
+            ),
+            # coordinate 6 of the first relation, the one non-pivot of the
+            # seven primitives: again only the checksum tells
+            pytest.param(
+                ["coinvariants"],
+                "coinvariant",
+                31,
+                6,
+                "dimension 1 (relations rank 6)\n",
+                id="coinvariant-31-6",
             ),
         ],
     )
-    def test_corrupt_body_recomputes(self, tmp_path, capsys, argv, name, byte, bit):
+    def test_corrupt_body_recomputes(
+        self, tmp_path, capsys, argv, name, byte, bit, head
+    ):
         args = ["--cache-dir", str(tmp_path), *argv, "-n", "3", "-d", "9"]
         assert main(args) == 0
         clean = capsys.readouterr().out
-        assert "dimension 7\n" in clean
+        assert clean.startswith(head)
         path = tmp_path / f"{name}_n3_d9.hpb1"
         blob = bytearray(path.read_bytes())
         blob[byte] ^= 1 << bit
@@ -100,6 +117,24 @@ class TestValidation:
         assert main(args) == 0  # the recomputed entry was stored again
         out, err = capsys.readouterr()
         assert out == clean and err == ""
+
+    def test_entry_of_another_m_recomputes(self, tmp_path, capsys):
+        args = ["--cache-dir", str(tmp_path), "coinvariants", "-n", "3", "-d", "9"]
+        assert main(args) == 0
+        clean = capsys.readouterr().out
+        stale = cache_load("coinvariant", 3, 9, tmp_path)
+        assert stale is not None and stale.m == 7  # the seven primitives
+        # canonical rows and an intact checksum, but over eight coordinates
+        cache_store(CacheEntry("coinvariant", 3, 9, 8, stale.rows), tmp_path)
+
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert out == clean
+        assert err == (
+            "warning: ignoring corrupt cache entry "
+            f"{tmp_path / 'coinvariant_n3_d9.hpb1'}\n"
+        )
+        assert cache_load("coinvariant", 3, 9, tmp_path) == stale
 
 
 class TestAtomicity:
@@ -212,13 +247,28 @@ class TestDiskTraffic:
         "argv, written",
         [
             (["cohit", "-n", "3", "-d", "9"], {"hit_n3_d9"}),
-            (["verify", "thm21", "-t", "1", "-s", "1", "-u", "3"], {"primitive_n4_d35"}),
+            (
+                ["verify", "thm21", "-t", "1", "-s", "1", "-u", "3"],
+                {"primitive_n4_d35", "coinvariant_n4_d35"},
+            ),
             (
                 ["verify", "cor22", "-t", "1", "-s", "2", "-u", "1"],
-                {"primitive_n4_d23", "lambda_s4_w23", "lambda_s5_w22"},
+                {
+                    "primitive_n4_d23",
+                    "coinvariant_n4_d23",
+                    "lambda_s4_w23",
+                    "lambda_s5_w22",
+                },
             ),
-            (["transfer", "-n", "4", "-d", "23"], {"primitive_n4_d23", "lambda_s4_w23"}),
+            (
+                ["transfer", "-n", "4", "-d", "23"],
+                {"primitive_n4_d23", "coinvariant_n4_d23", "lambda_s4_w23"},
+            ),
             (["ext", "-s", "4", "-w", "41"], {"lambda_s4_w41", "lambda_s5_w40"}),
+            (
+                ["coinvariants", "-n", "4", "-d", "23"],
+                {"primitive_n4_d23", "coinvariant_n4_d23"},
+            ),
         ],
     )
     def test_cold_writes_the_asked_bases_and_warm_reads_them(
@@ -232,9 +282,12 @@ class TestDiskTraffic:
         )
 
         # every elimination a basis needs starts in one of these: Sq rows for
-        # hit spaces, and batch inserts for kernels and lambda boundaries
+        # hit spaces, and batch inserts for kernels and lambda boundaries;
+        # a load inserts no row and the relations need no GL action
         monkeypatch.setattr(hit, "_generator_rows", unreachable)
         monkeypatch.setattr(EchelonBasis, "extend", unreachable)
+        monkeypatch.setattr(EchelonBasis, "_insert", unreachable)
+        monkeypatch.setattr(glrep, "_homology_action", unreachable)
         assert main(args) == 0
         out, err = capsys.readouterr()
         assert strip_timing(out) == strip_timing(cold) and err == ""
