@@ -46,9 +46,14 @@ def configure(limit: Budget | None) -> None:
     _current = DEFAULT_BUDGET if limit is None else limit
 
 
+def fits(needed: int) -> bool:
+    """Whether needed bytes are within the budget."""
+    return needed <= _current.max_bytes
+
+
 def check_bytes(needed: int) -> None:
     """Raise BudgetError if an echelon basis holding needed bytes exceeds the budget."""
-    if needed > _current.max_bytes:
+    if not fits(needed):
         need, limit = -(-needed * 10 // 2**20), _current.max_bytes * 10 // 2**20
         raise BudgetError(
             f"echelon basis needs about {need / 10:.1f} MiB, "

@@ -18,7 +18,8 @@ of every stored int is its pivot and the int is sized by the row's span
 above the pivot, not by its highest coordinate.  On the quasi-triangular
 matrices of the hit problem that makes the stored rows 3-8x smaller (the
 forward rows of the hit space (5, 25) take 5.1 MiB instead of 38.8 MiB);
-the lambda boundary rows shrink less, 45.4 to 33.3 MiB at (6, 37).  The row
+the canonical rows of the transposed lambda differential out of (5, 38)
+shrink less, 11.4 to 4.4 MiB.  The row
 being reduced stays an absolute int, and every row handed out is shifted
 back first.
 

@@ -291,10 +291,14 @@ def _enumerate_words(s: int, w: int, bound: int | None) -> Iterator[tuple[int, .
             yield prefix + (v,)
 
 
-@functools.lru_cache(maxsize=256)
-def bidegree_basis_tuples(s: int, w: int) -> tuple[tuple[int, ...], ...]:
+def _check_word_cap(s: int, w: int) -> None:
     if bidegree_count(s, w) > MAX_WORDS_PER_BIDEGREE:
         raise BudgetError(f"bidegree ({s}, {w}) exceeds the word budget")
+
+
+@functools.lru_cache(maxsize=256)
+def bidegree_basis_tuples(s: int, w: int) -> tuple[tuple[int, ...], ...]:
+    _check_word_cap(s, w)
     return tuple(sorted(_enumerate_words(s, w, None)))
 
 
@@ -303,6 +307,11 @@ def bidegree_basis(s: int, w: int) -> list[LambdaWord]:
     if s < 0 or w < 0:
         raise ValueError("length and weight must be non-negative")
     return [LambdaWord(t) for t in bidegree_basis_tuples(s, w)]
+
+
+def _differentials(s: int, w: int) -> Iterator[frozenset[tuple[int, ...]]]:
+    """The normalized differential of each (s, w) word, in enumeration order."""
+    return (_differential_words((source,)) for source in bidegree_basis_tuples(s, w))
 
 
 def boundary_echelon(s: int, w: int) -> EchelonBasis:
@@ -314,18 +323,37 @@ def boundary_echelon(s: int, w: int) -> EchelonBasis:
     """
 
     def compute() -> EchelonBasis:
-        # sources first: homology_dim(s - 1, w + 1) builds this echelon first,
-        # and its word cap then names the bidegree asked for
-        sources = bidegree_basis_tuples(s - 1, w + 1) if s >= 1 else ()
-        target = bidegree_basis_tuples(s, w)
-        index = {t: i for i, t in enumerate(target)}
-        basis = EchelonBasis(len(target))
-        basis.extend(
-            [index[t] for t in _differential_words((source,))] for source in sources
-        )
+        sources = _differentials(s - 1, w + 1) if s >= 1 else ()
+        index = {t: i for i, t in enumerate(bidegree_basis_tuples(s, w))}
+        basis = EchelonBasis(len(index))
+        basis.extend([index[t] for t in d] for d in sources)
         return basis
 
     return store.cached_boundary_echelon(s, w, compute)
+
+
+def differential_echelon(s: int, w: int) -> EchelonBasis:
+    """Echelon basis of the transpose of d: (s, w) -> (s + 1, w - 1).
+
+    One row per target word, over the (s, w) enumeration: the sources whose
+    differential holds it.  Same rank as ``boundary_echelon(s + 1, w - 1)``,
+    but over the (s, w) words, typically several times fewer.
+    """
+
+    def compute() -> EchelonBasis:
+        # the targets are held, though never enumerated, so both sides keep
+        # the word cap; the sources' first, so it names the bidegree asked for
+        _check_word_cap(s, w)
+        _check_word_cap(s + 1, w - 1)
+        rows: dict[tuple[int, ...], list[int]] = {}
+        for i, d in enumerate(_differentials(s, w)):
+            for t in d:
+                rows.setdefault(t, []).append(i)
+        basis = EchelonBasis(bidegree_count(s, w))
+        basis.extend(rows.values())
+        return basis
+
+    return store.cached_differential_echelon(s, w, compute)
 
 
 def element_coordinates(e: LambdaElement, s: int, w: int) -> list[int]:
@@ -358,6 +386,4 @@ def homology_dim(s: int, w: int) -> int:
     m = bidegree_count(s, w)
     if m == 0:
         return 0
-    rank_out = boundary_echelon(s + 1, w - 1).rank if w >= 1 else 0
-    rank_in = boundary_echelon(s, w).rank
-    return m - rank_out - rank_in
+    return m - differential_echelon(s, w).rank - boundary_echelon(s, w).rank

@@ -2,21 +2,24 @@
 
 Every memoised value is keyed by (kind, n, d).  The memory tier is always
 on and serves library calls; ``configure`` empties it.  The disk tier holds
-the echelon kinds (hit, primitive, lambda-bidegree, and the coinvariant
-relations over the primitive basis) and is on only while ``configure``
+the echelon kinds (hit, primitive, lambda-bidegree, the coinvariant
+relations over the primitive basis, and lambda-differential, the transposed
+differential out of a lambda bidegree) and is on only while ``configure``
 names a directory, which the command line does once per command from
 ``--cache-dir``, ``--no-cache`` and ``$HITCALC_CACHE``; outside a command
 nothing touches disk.  A command writes the bases it asks for and never
 their intermediates: a primitive space is the kernel of a hit space that it
 neither memoises nor writes, since at (4, 35) writing it would cost an
 extra 8.9 MB file and raise peak RSS from 22 MiB to 27 MiB.  It does reuse
-(``peek``) a hit space the memory tier already holds.
+(``peek``) a hit space the memory tier already holds.  An entry is encoded
+in memory, so one whose file would exceed the budget is skipped with a warning.
 
 HPB1 layout, all little-endian:
 
     magic   4s   b"HPB1"
     version u16  2
-    kind    u8   1 = hit, 2 = primitive, 3 = lambda-bidegree, 4 = coinvariant
+    kind    u8   1 = hit, 2 = primitive, 3 = lambda-bidegree, 4 = coinvariant,
+                 5 = lambda-differential
     n_or_s  u32  variable count (or word length)
     d_or_w  u32  degree (or weight)
     m       u64  ambient coordinate count (for coinvariant: the primitive
@@ -45,6 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
+from .budget import fits
 from .gf2 import EchelonBasis
 from .steenrod import monomial_count
 
@@ -59,13 +63,20 @@ __all__ = [
     "cached_hit_basis",
     "cached_primitive_basis",
     "cached_boundary_echelon",
+    "cached_differential_echelon",
     "cached_coinvariant_relations",
 ]
 
 MAGIC = b"HPB1"
 VERSION = 2
 _HEADER = struct.Struct("<4sHBIIQQ")
-_KINDS = {"hit": 1, "primitive": 2, "lambda-bidegree": 3, "coinvariant": 4}
+_KINDS = {
+    "hit": 1,
+    "primitive": 2,
+    "lambda-bidegree": 3,
+    "coinvariant": 4,
+    "lambda-differential": 5,
+}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
 
 ENV_VAR = "HITCALC_CACHE"
@@ -120,7 +131,13 @@ def cache_dir(override: str | None = None) -> Path:
 def _filename(kind: str, n: int, d: int) -> str:
     if kind == "lambda-bidegree":
         return f"lambda_s{n}_w{d}.hpb1"
+    if kind == "lambda-differential":
+        return f"lambda_d_s{n}_w{d}.hpb1"
     return f"{kind}_n{n}_d{d}.hpb1"
+
+
+def _encoded_size(m: int, r: int) -> int:
+    return _HEADER.size + r * max(1, (m + 63) // 64) * 8 + 4
 
 
 def encode(entry: CacheEntry) -> bytearray:
@@ -143,13 +160,12 @@ def decode(blob: bytes | bytearray) -> CacheEntry | None:
     magic, version, kind, n, d, m, r = _HEADER.unpack_from(blob)
     if magic != MAGIC or version != VERSION or kind not in _KIND_NAMES:
         return None
-    words = max(1, (m + 63) // 64)
-    if len(blob) != _HEADER.size + r * words * 8 + 4:
+    if len(blob) != _encoded_size(m, r):
         return None
     if zlib.crc32(memoryview(blob)[:-4]) != int.from_bytes(blob[-4:], "little"):
         return None
     rows = []
-    off = _HEADER.size
+    off, words = _HEADER.size, max(1, (m + 63) // 64)
     for _ in range(r):
         rows.append(int.from_bytes(blob[off : off + words * 8], "little"))
         off += words * 8
@@ -213,10 +229,15 @@ def _fetch_echelon(
         basis = _load_basis(kind, n, d, m, directory)
         if basis is None:
             basis = compute()
-            cache_store(
-                CacheEntry(kind, n, d, basis.ambient_length, basis.iter_row_ints()),
-                directory,
-            )
+            size = _encoded_size(m, basis.rank)
+            if fits(size):
+                cache_store(CacheEntry(kind, n, d, m, basis.iter_row_ints()), directory)
+            else:
+                path = directory / _filename(kind, n, d)
+                print(
+                    f"warning: not caching {path}: its {size:,} bytes exceed the budget",
+                    file=sys.stderr,
+                )
         return basis
 
     return fetch(kind, n, d, load_or_compute)
@@ -246,6 +267,15 @@ def cached_boundary_echelon(
     from .lambda_algebra import bidegree_count
 
     return _fetch_echelon("lambda-bidegree", s, w, bidegree_count(s, w), compute)
+
+
+def cached_differential_echelon(
+    s: int, w: int, compute: Callable[[], EchelonBasis]
+) -> EchelonBasis:
+    """The transposed lambda differential out of (s, w); compute() on a miss."""
+    from .lambda_algebra import bidegree_count
+
+    return _fetch_echelon("lambda-differential", s, w, bidegree_count(s, w), compute)
 
 
 def cached_coinvariant_relations(

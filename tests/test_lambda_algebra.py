@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from hitcalc import store
 from hitcalc.budget import BudgetError
+from hitcalc.gf2 import EchelonBasis
 from hitcalc.lambda_algebra import (
     MAX_WORDS_PER_BIDEGREE,
     LambdaElement,
@@ -10,7 +12,9 @@ from hitcalc.lambda_algebra import (
     bidegree_basis,
     bidegree_count,
     binom2,
+    boundary_echelon,
     differential,
+    differential_echelon,
     homology_dim,
     is_boundary,
     is_cycle,
@@ -177,8 +181,15 @@ class TestBidegreeBasis:
 
     def test_budget(self):
         assert bidegree_count(6, 120) == 12_499_171 > MAX_WORDS_PER_BIDEGREE
-        with pytest.raises(BudgetError, match="exceeds the word budget"):
+        # the sources are checked first, so the cap names the bidegree asked for
+        with pytest.raises(BudgetError, match=r"^bidegree \(6, 120\) exceeds the word budget"):
             homology_dim(6, 120)
+
+    def test_budget_of_the_targets(self):
+        # (4, 145) has 107,562 words, but d takes them into 2,012,868
+        assert bidegree_count(5, 144) > MAX_WORDS_PER_BIDEGREE
+        with pytest.raises(BudgetError, match=r"^bidegree \(5, 144\) exceeds the word budget"):
+            homology_dim(4, 145)
 
 
 class TestHomology:
@@ -204,6 +215,35 @@ class TestHomology:
     def test_class_arithmetic_small(self):
         # (2, 1): the only reduced words are 0,1 / 1,0-image; homology is 0
         assert homology_dim(2, 1) == 0
+
+
+class TestDifferentialEchelon:
+    """The rank of d out of (s, w), taken on the transpose over the (s, w) words."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        store.configure(None)  # empties the memory tier
+        yield
+        store.configure(None)
+
+    def test_rank_equals_the_boundary_rank_one_length_up(self):
+        for s in range(6):
+            for w in range(1, 31):
+                rank = boundary_echelon(s + 1, w - 1).rank
+                assert differential_echelon(s, w).rank == rank, (s, w)
+
+    def test_homology_builds_no_basis_over_the_targets(self, monkeypatch):
+        ambients = []
+        init = EchelonBasis.__init__
+
+        def spy(self, ambient_length):
+            ambients.append(ambient_length)
+            init(self, ambient_length)
+
+        monkeypatch.setattr(EchelonBasis, "__init__", spy)
+        assert homology_dim(4, 41) == 1
+        assert bidegree_count(5, 40) == 14_273
+        assert sorted(set(ambients)) == [bidegree_count(4, 41)]
 
 
 class TestParsing:

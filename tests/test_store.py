@@ -257,14 +257,14 @@ class TestDiskTraffic:
                     "primitive_n4_d23",
                     "coinvariant_n4_d23",
                     "lambda_s4_w23",
-                    "lambda_s5_w22",
+                    "lambda_d_s4_w23",
                 },
             ),
             (
                 ["transfer", "-n", "4", "-d", "23"],
                 {"primitive_n4_d23", "coinvariant_n4_d23", "lambda_s4_w23"},
             ),
-            (["ext", "-s", "4", "-w", "41"], {"lambda_s4_w41", "lambda_s5_w40"}),
+            (["ext", "-s", "4", "-w", "41"], {"lambda_s4_w41", "lambda_d_s4_w41"}),
             (
                 ["coinvariants", "-n", "4", "-d", "23"],
                 {"primitive_n4_d23", "coinvariant_n4_d23"},
@@ -291,6 +291,23 @@ class TestDiskTraffic:
         assert main(args) == 0
         out, err = capsys.readouterr()
         assert strip_timing(out) == strip_timing(cold) and err == ""
+
+
+@pytest.mark.parametrize("d, size", [(23, 801_995), (24, 1_050_675)])
+def test_an_entry_over_the_budget_is_not_written(tmp_path, capsys, d, size):
+    # the hit rows of (4, 24) take 95 KiB shifted to their pivots, but their
+    # HPB1 entry takes just over 1 MiB; those of (4, 23) fit both ways
+    path = tmp_path / f"hit_n4_d{d}.hpb1"
+    argv = ["cohit", "-n", "4", "-d", str(d)]
+    assert main(["--budget-mb", "1", "--cache-dir", str(tmp_path), *argv]) == 0
+    out, err = capsys.readouterr()
+    assert main(["--no-cache", *argv]) == 0
+    assert out == capsys.readouterr().out
+    if size <= 2**20:
+        assert err == "" and path.stat().st_size == size
+    else:
+        assert err == f"warning: not caching {path}: its {size:,} bytes exceed the budget\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_no_cache_and_library_calls_stay_off_disk(tmp_path, capsys, monkeypatch):
