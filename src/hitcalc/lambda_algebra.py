@@ -28,6 +28,8 @@ lambda_{j-1} lambda_{n-j}, extended by the Leibniz rule and normalized.
 from __future__ import annotations
 
 import functools
+import itertools
+from collections import defaultdict
 from typing import Iterable, Iterator
 
 from . import store
@@ -309,11 +311,6 @@ def bidegree_basis(s: int, w: int) -> list[LambdaWord]:
     return [LambdaWord(t) for t in bidegree_basis_tuples(s, w)]
 
 
-def _differentials(s: int, w: int) -> Iterator[frozenset[tuple[int, ...]]]:
-    """The normalized differential of each (s, w) word, in enumeration order."""
-    return (_differential_words((source,)) for source in bidegree_basis_tuples(s, w))
-
-
 def boundary_echelon(s: int, w: int) -> EchelonBasis:
     """Echelon basis of the boundary subspace inside bidegree (s, w).
 
@@ -323,10 +320,10 @@ def boundary_echelon(s: int, w: int) -> EchelonBasis:
     """
 
     def compute() -> EchelonBasis:
-        sources = _differentials(s - 1, w + 1) if s >= 1 else ()
+        sources = bidegree_basis_tuples(s - 1, w + 1) if s >= 1 else ()
         index = {t: i for i, t in enumerate(bidegree_basis_tuples(s, w))}
         basis = EchelonBasis(len(index))
-        basis.extend([index[t] for t in d] for d in sources)
+        basis.extend([index[t] for t in _differential_words((u,))] for u in sources)
         return basis
 
     return store.cached_boundary_echelon(s, w, compute)
@@ -338,6 +335,16 @@ def differential_echelon(s: int, w: int) -> EchelonBasis:
     One row per target word, over the (s, w) enumeration: the sources whose
     differential holds it.  Same rank as ``boundary_echelon(s + 1, w - 1)``,
     but over the (s, w) words, typically several times fewer.
+
+    The rows are streamed through the first-index filtration, since d never
+    raises a word's first index: a Leibniz term lambda_{j-1} lambda_{n-j}
+    of the first generator lowers it, and rewriting a leading pair (a, b)
+    with a > 2b gives first index a + b - j < a, as j >= ceil(a/2) > b.
+    The sources are walked in descending lex order, one first-index group
+    at a time; once the group of first index a is done, no source left can
+    reach a target of first index a or more, so those rows are complete
+    and are inserted and freed.  Every target is checked against its
+    source's first index, and a target above it raises ``RuntimeError``.
     """
 
     def compute() -> EchelonBasis:
@@ -345,12 +352,27 @@ def differential_echelon(s: int, w: int) -> EchelonBasis:
         # the word cap; the sources' first, so it names the bidegree asked for
         _check_word_cap(s, w)
         _check_word_cap(s + 1, w - 1)
-        rows: dict[tuple[int, ...], list[int]] = {}
-        for i, d in enumerate(_differentials(s, w)):
-            for t in d:
-                rows.setdefault(t, []).append(i)
-        basis = EchelonBasis(bidegree_count(s, w))
-        basis.extend(rows.values())
+        sources = bidegree_basis_tuples(s, w)
+        basis = EchelonBasis(len(sources))
+        # first index -> target word -> its sources, for the targets still open
+        open_rows: dict[int, dict[tuple[int, ...], list[int]]]
+        open_rows = defaultdict(lambda: defaultdict(list))
+
+        def flush(bound: int) -> None:
+            done = [f for f in open_rows if f >= bound]
+            basis.extend(row for f in done for row in open_rows.pop(f).values())
+
+        i = len(sources)
+        # the empty word (s = 0) has no first index, but reaches no target
+        for a, group in itertools.groupby(reversed(sources), lambda u: u[0] if u else 0):
+            for source in group:
+                i -= 1
+                for t in _differential_words((source,)):
+                    if t[0] > a:
+                        raise RuntimeError(f"d{source} holds {t}: its first index rose")
+                    open_rows[t[0]][t].append(i)
+            flush(a)
+        flush(0)  # targets below every source's first index, such as (0, 1)
         return basis
 
     return store.cached_differential_echelon(s, w, compute)

@@ -32,9 +32,9 @@ Rows are the canonical echelon rows in pivot order, so a load/store round
 trip is byte-identical.  Stores are atomic (temp file + rename); loads
 validate the header, the shape and the checksum, and check that the rows
 are the canonical form (``EchelonBasis.from_canonical_rows``) without
-re-eliminating them.  They report a miss, with a warning, on any defect or
-an m other than the one asked for, so a corrupt cache can cost time but
-never correctness.
+re-eliminating them, decoding one row at a time from the file's bytes.
+They report a miss, with a warning, on any defect or an m other than the
+one asked for, so a corrupt cache can cost time but never correctness.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import struct
 import sys
 import tempfile
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -112,9 +113,10 @@ def fetch(kind: str, n: int, d: int, compute: Callable[[], T]) -> T:
 class CacheEntry:
     """One basis file: its key, its coordinate count m and its canonical rows.
 
-    ``decode`` gives the rows as a tuple.  An entry to be stored may carry any
-    iterable of them, such as ``EchelonBasis.iter_row_ints()``, so that no
-    dense copy of every row is built; ``encode`` reads it once.
+    ``decode`` gives the rows as a sequence that decodes each row when it is
+    read.  An entry to be stored may carry any iterable of them, such as
+    ``EchelonBasis.iter_row_ints()``, so that no dense copy of every row is
+    built; ``encode`` reads it once.
     """
 
     kind: str
@@ -122,6 +124,32 @@ class CacheEntry:
     d: int
     m: int
     rows: Iterable[int]
+
+
+class _Rows(Sequence[int]):
+    """The r rows of a checked HPB1 blob, each decoded as it is read.
+
+    Only the blob is held, so a load holds no tuple of every absolute row
+    beside the file's bytes while ``EchelonBasis.from_canonical_rows`` shifts
+    them, last row first.
+    """
+
+    def __init__(self, blob: bytes | bytearray, width: int, r: int):
+        self._view = memoryview(blob)[_HEADER.size : _HEADER.size + r * width]
+        self._width = width
+        self._r = r
+
+    def __len__(self) -> int:
+        return self._r
+
+    def __getitem__(self, i: int) -> int:  # type: ignore[override]
+        if not 0 <= i < self._r:
+            raise IndexError("row index out of range")
+        off = i * self._width
+        return int.from_bytes(self._view[off : off + self._width], "little")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
 
 def cache_dir(override: str | None = None) -> Path:
@@ -164,12 +192,8 @@ def decode(blob: bytes | bytearray) -> CacheEntry | None:
         return None
     if zlib.crc32(memoryview(blob)[:-4]) != int.from_bytes(blob[-4:], "little"):
         return None
-    rows = []
-    off, words = _HEADER.size, max(1, (m + 63) // 64)
-    for _ in range(r):
-        rows.append(int.from_bytes(blob[off : off + words * 8], "little"))
-        off += words * 8
-    return CacheEntry(_KIND_NAMES[kind], n, d, m, tuple(rows))
+    rows = _Rows(blob, max(1, (m + 63) // 64) * 8, r)
+    return CacheEntry(_KIND_NAMES[kind], n, d, m, rows)
 
 
 def cache_load(kind: str, n: int, d: int, directory: Path) -> CacheEntry | None:
@@ -209,8 +233,7 @@ def _load_basis(
     entry = cache_load(kind, n, d, directory)
     if entry is None:
         return None
-    rows = tuple(entry.rows)  # decoded rows are a tuple already: no copy
-    basis = EchelonBasis.from_canonical_rows(m, rows) if entry.m == m else None
+    basis = EchelonBasis.from_canonical_rows(m, entry.rows) if entry.m == m else None
     if basis is None:
         path = directory / _filename(kind, n, d)
         print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)

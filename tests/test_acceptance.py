@@ -156,7 +156,13 @@ def test_criterion_8_kameko_chains():
     start = time.monotonic()
     assert reduce_degree_chain(5, 215) == [215, 105, 50]
     assert cohit_dim(3, 11) == cohit_dim(3, 4)
-    verdict(8, "degree reduction chains and the (3,11)-(3,4) equality", start)
+    # the rank-5 Kameko step: QP_5(27) -> QP_5(11) is a GL_5-equivariant
+    # isomorphism, so the cohit and coinvariant dimensions carry down
+    assert reduce_degree_chain(5, 27) == [27, 11]
+    assert cohit_dim(5, 27) == cohit_dim(5, 11) == 315
+    top, bottom = coinvariant_classes(5, 27), coinvariant_classes(5, 11)
+    assert top.dimension == bottom.dimension == 0
+    verdict(8, "degree reduction chains, (3,11)-(3,4) and (5,27)-(5,11)", start)
 
 
 def test_criterion_9_lambda_consistency():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hitcalc import store
+from hitcalc import lambda_algebra, store
 from hitcalc.budget import BudgetError
 from hitcalc.gf2 import EchelonBasis
 from hitcalc.lambda_algebra import (
@@ -10,6 +10,7 @@ from hitcalc.lambda_algebra import (
     LambdaElement,
     LambdaWord,
     bidegree_basis,
+    bidegree_basis_tuples,
     bidegree_count,
     binom2,
     boundary_echelon,
@@ -217,6 +218,18 @@ class TestHomology:
         assert homology_dim(2, 1) == 0
 
 
+def one_shot_differential_echelon(s, w):
+    """The transposed differential with every target row held until the first
+    is inserted: the oracle for the first-index stream."""
+    rows = {}
+    for i, word in enumerate(bidegree_basis_tuples(s, w)):
+        for t in differential(LambdaElement((word,))).terms:
+            rows.setdefault(t, []).append(i)
+    basis = EchelonBasis(bidegree_count(s, w))
+    basis.extend(rows.values())
+    return basis
+
+
 class TestDifferentialEchelon:
     """The rank of d out of (s, w), taken on the transpose over the (s, w) words."""
 
@@ -231,6 +244,42 @@ class TestDifferentialEchelon:
             for w in range(1, 31):
                 rank = boundary_echelon(s + 1, w - 1).rank
                 assert differential_echelon(s, w).rank == rank, (s, w)
+
+    def test_d_never_raises_the_first_index(self):
+        for s in range(1, 6):
+            for w in range(31):
+                for word in bidegree_basis_tuples(s, w):
+                    for t in differential(LambdaElement((word,))).terms:
+                        assert t[0] <= word[0], (word, t)
+
+    def test_the_stream_equals_the_one_shot_build(self):
+        for s in range(6):
+            for w in range(1, 31):
+                oracle = one_shot_differential_echelon(s, w).row_ints()
+                assert differential_echelon(s, w).row_ints() == oracle, (s, w)
+
+    def test_a_rising_first_index_raises(self, monkeypatch):
+        real = lambda_algebra._differential_words
+
+        def rising(words):
+            return real(words) | {(u[0] + 1, 0) + u[1:] for u in words}
+
+        monkeypatch.setattr(lambda_algebra, "_differential_words", rising)
+        with pytest.raises(RuntimeError, match=r"^d\(3, 2\) holds \(4, 0, 2\): its first"):
+            differential_echelon(2, 5)
+
+    @pytest.mark.parametrize(
+        "s, w, dim",
+        [
+            (0, 0, 1),  # the empty word has no first index
+            (1, 2, 0),  # d(2) = (0, 1), below every source's first index
+            (1, 0, 1),
+            (2, 0, 1),
+            (3, 0, 1),
+        ],
+    )
+    def test_edges_of_the_stream(self, s, w, dim):
+        assert homology_dim(s, w) == dim
 
     def test_homology_builds_no_basis_over_the_targets(self, monkeypatch):
         ambients = []
