@@ -8,78 +8,44 @@ algebra, and the lambda-word images of coinvariant classes, with
 verification drivers for the published dimension statements these feed.
 """
 
-from .budget import Budget, BudgetError, DEFAULT_BUDGET, HEAVY_BUDGET
-from .gf2 import BitRow, EchelonBasis, quotient_representatives
-from .glrep import (
-    CoinvariantReport,
-    GLMatrix,
-    act_homology,
-    act_poly,
-    coinvariant_class_nonzero,
-    coinvariant_classes,
-    generators,
-    group_closure,
-    invariant_basis,
-    parse_glmatrix,
-)
-from .hit import (
-    CohitBasis,
-    HitSpace,
-    cohit_basis,
-    cohit_dim,
-    hit_basis,
-    kameko_down,
-    kameko_down_poly,
-    kameko_iso_applicable,
-    peterson_wood_zero,
-    reduce_degree_chain,
-)
-from .homology import (
-    DElement,
-    DMonomial,
-    PrimitiveBasis,
-    dp_product,
-    dual_kameko_up,
-    dual_sq,
-    pair,
-    parse_delement,
-    parse_dmonomial,
-    primitive_basis,
-    zeta_element,
-)
-from .lambda_algebra import (
-    LambdaElement,
-    LambdaWord,
-    TerminationGuardError,
-    bidegree_basis,
-    differential,
-    homology_dim,
-    is_boundary,
-    is_cycle,
-    normal_form,
-    parse_lambda_element,
-    relation_element,
-)
-from .steenrod import (
-    GenericDegree,
-    Monomial,
-    Polynomial,
-    alpha,
-    enumerate_monomials,
-    generic_degree,
-    mu,
-    parse_monomial,
-    parse_polynomial,
-    sq,
-    sq_monomial,
-)
-from .transfer import (
-    TransferImage,
-    TransferReport,
-    class_equal,
-    label_dictionary,
-    psi,
-    transfer_report,
-)
+import importlib
 
+# Each module and the public names it defines.  The package imports a module
+# the first time one of its names is read (PEP 562), so that a command loads
+# only the modules it runs.
+_EXPORTS = {
+    "budget": "Budget BudgetError DEFAULT_BUDGET HEAVY_BUDGET",
+    "gf2": "BitRow EchelonBasis quotient_representatives",
+    "glrep": "CoinvariantReport GLMatrix act_homology act_poly coinvariant_class_nonzero"
+    " coinvariant_classes generators group_closure invariant_basis parse_glmatrix",
+    "hit": "CohitBasis HitSpace cohit_basis cohit_dim hit_basis kameko_down"
+    " kameko_down_poly kameko_iso_applicable peterson_wood_zero reduce_degree_chain",
+    "homology": "DElement DMonomial PrimitiveBasis dp_product dual_kameko_up dual_sq"
+    " pair parse_delement parse_dmonomial primitive_basis zeta_element",
+    "lambda_algebra": "LambdaElement LambdaWord TerminationGuardError bidegree_basis"
+    " differential homology_dim is_boundary is_cycle normal_form parse_lambda_element"
+    " relation_element",
+    "steenrod": "GenericDegree Monomial Polynomial alpha enumerate_monomials"
+    " generic_degree mu parse_monomial parse_polynomial sq sq_monomial",
+    "transfer": "TransferImage TransferReport class_equal label_dictionary psi"
+    " transfer_report",
+}
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS.items() for name in names.split()
+}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

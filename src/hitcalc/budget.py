@@ -14,15 +14,14 @@ same way.  The cap on lambda words per bidegree is a fixed constant of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class BudgetError(RuntimeError):
     """A computation would exceed its configured resource budget."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """A ceiling on the bytes held by echelon bases."""
 
     max_bytes: int = 512 * 1024 * 1024

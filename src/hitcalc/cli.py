@@ -1,7 +1,10 @@
 """Command-line surface and verification drivers.
 
 Exit codes: 0 success / all verdicts pass, 1 verification mismatch,
-2 invalid input, 3 resource budget exceeded.
+2 invalid input, 3 resource budget exceeded, 4 internal error.
+
+Each command imports the engine functions it calls, so that it loads and
+compiles only the modules it runs.
 """
 
 from __future__ import annotations
@@ -12,18 +15,8 @@ import time
 
 from . import budget, store
 from .budget import Budget, BudgetError, HEAVY_BUDGET
-from .glrep import coinvariant_class_nonzero, coinvariant_classes, invariant_basis
-from .hit import cohit_basis, reduce_degree_chain
-from .homology import dual_sq, primitive_basis, zeta_element
-from .lambda_algebra import (
-    differential,
-    homology_dim,
-    normal_form,
-    parse_lambda_element,
-)
 from .reports import VerdictReport, emit_report
 from .steenrod import alpha, generic_degree, mu
-from .transfer import class_equal, label_dictionary, psi, transfer_report
 
 
 def _generic4_degree(t: int, s: int, u: int) -> int:
@@ -56,6 +49,8 @@ def thm21_expected(t: int, s: int, u: int) -> tuple[int, str | None]:
 
 
 def _zeta_for(family: str, t: int, s: int, u: int):
+    from .homology import zeta_element
+
     if family == "A":
         return zeta_element("A", t, 1, 2)
     if family == "B":
@@ -94,6 +89,8 @@ def _cmd_mu(args, ctx) -> int:
 
 
 def _cmd_cohit(args, ctx: _Ctx) -> int:
+    from .hit import cohit_basis, reduce_degree_chain
+
     basis = cohit_basis(args.n, args.d)
     print(f"dimension {basis.dimension}")
     if args.basis:
@@ -106,6 +103,8 @@ def _cmd_cohit(args, ctx: _Ctx) -> int:
 
 
 def _cmd_primitives(args, ctx: _Ctx) -> int:
+    from .homology import primitive_basis
+
     basis = primitive_basis(args.n, args.d)
     print(f"dimension {basis.dimension}")
     if args.basis:
@@ -115,6 +114,8 @@ def _cmd_primitives(args, ctx: _Ctx) -> int:
 
 
 def _cmd_invariants(args, ctx: _Ctx) -> int:
+    from .glrep import invariant_basis
+
     classes = invariant_basis(args.n, args.d)
     print(f"dimension {len(classes)}")
     for c in classes:
@@ -123,6 +124,8 @@ def _cmd_invariants(args, ctx: _Ctx) -> int:
 
 
 def _cmd_coinvariants(args, ctx: _Ctx) -> int:
+    from .glrep import coinvariant_classes
+
     report = coinvariant_classes(args.n, args.d)
     print(f"dimension {report.dimension} (relations rank {report.relations_rank})")
     for e in report.class_representatives:
@@ -131,6 +134,8 @@ def _cmd_coinvariants(args, ctx: _Ctx) -> int:
 
 
 def _cmd_transfer(args, ctx: _Ctx) -> int:
+    from .transfer import transfer_report
+
     report = transfer_report(args.n, args.d)
     verdict = VerdictReport(
         claim=f"transfer:n={args.n},d={args.d}",
@@ -154,16 +159,22 @@ def _cmd_transfer(args, ctx: _Ctx) -> int:
 
 
 def _cmd_lambda_nf(args, ctx) -> int:
+    from .lambda_algebra import normal_form, parse_lambda_element
+
     print(str(normal_form(parse_lambda_element(args.element))))
     return 0
 
 
 def _cmd_lambda_d(args, ctx) -> int:
+    from .lambda_algebra import differential, parse_lambda_element
+
     print(str(differential(parse_lambda_element(args.element))))
     return 0
 
 
 def _cmd_ext(args, ctx: _Ctx) -> int:
+    from .lambda_algebra import homology_dim
+
     print(homology_dim(args.s, args.w))
     return 0
 
@@ -172,6 +183,9 @@ def _cmd_ext(args, ctx: _Ctx) -> int:
 
 
 def _verify_thm21(args, ctx: _Ctx) -> list[VerdictReport]:
+    from .glrep import coinvariant_class_nonzero, coinvariant_classes
+    from .homology import dual_sq
+
     t, s, u = args.t, args.s, args.u
     d = _generic4_degree(t, s, u)
     expected, family = thm21_expected(t, s, u)
@@ -207,6 +221,10 @@ def _verify_thm21(args, ctx: _Ctx) -> list[VerdictReport]:
 
 
 def _verify_cor22(args, ctx: _Ctx) -> list[VerdictReport]:
+    from .glrep import coinvariant_classes
+    from .lambda_algebra import differential, homology_dim
+    from .transfer import class_equal, label_dictionary, psi
+
     t, s, u = args.t, args.s, args.u
     d = _generic4_degree(t, s, u)
     expected, family = thm21_expected(t, s, u)
@@ -248,6 +266,8 @@ def _verify_cor22(args, ctx: _Ctx) -> list[VerdictReport]:
 
 
 def _verify_thm23(args, ctx: _Ctx) -> list[VerdictReport]:
+    from .glrep import coinvariant_classes
+
     t = args.t
     d = _rank5_degree(t)
     ctx.require_heavy(f"coinvariants of rank 5 in degree {d}")
@@ -267,6 +287,8 @@ def _verify_thm23(args, ctx: _Ctx) -> list[VerdictReport]:
 
 
 def _verify_cor24(args, ctx: _Ctx) -> list[VerdictReport]:
+    from .lambda_algebra import homology_dim
+
     t = args.t
     d = _rank5_degree(t)
     start = time.monotonic()
@@ -371,6 +393,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a broken invariant of the engine, not a verification mismatch
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     finally:
         # library calls after a command stay off disk, under the default budget
         store.configure(None)

@@ -34,9 +34,8 @@ Faugere-Lachartre (PASCO 2010).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from sys import getsizeof
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import check_bytes
 
@@ -58,18 +57,23 @@ def ones(bits: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class BitRow:
-    """A fixed-length vector over F2, packed into a Python int (bit i = coordinate i)."""
-
+# A NamedTuple may not define __new__, so the validating subclass does.
+class _BitRowFields(NamedTuple):
     bits: int
     length: int
 
-    def __post_init__(self) -> None:
-        if self.bits < 0:
+
+class BitRow(_BitRowFields):
+    """A fixed-length vector over F2, packed into a Python int (bit i = coordinate i)."""
+
+    __slots__ = ()
+
+    def __new__(cls, bits: int, length: int) -> "BitRow":
+        if bits < 0:
             raise ValueError("BitRow bits must be non-negative")
-        if self.bits >> self.length:
+        if bits >> length:
             raise ValueError("BitRow has bits outside its stated length")
+        return super().__new__(cls, bits, length)
 
     @classmethod
     def zero(cls, length: int) -> "BitRow":

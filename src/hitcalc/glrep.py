@@ -16,8 +16,7 @@ compares the two routes directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import store
 from .gf2 import EchelonBasis, ones, quotient_representatives
@@ -39,19 +38,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GLMatrix:
-    """An invertible n x n matrix over F2; entries[i][j] is row i, column j."""
-
+# A NamedTuple may not define __new__, so the validating subclass does.
+class _GLMatrixFields(NamedTuple):
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if any(len(r) != n for r in self.entries):
+
+class GLMatrix(_GLMatrixFields):
+    """An invertible n x n matrix over F2; entries[i][j] is row i, column j."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> "GLMatrix":
+        n = len(entries)
+        if any(len(r) != n for r in entries):
             raise ValueError("matrix must be square")
-        if any(e not in (0, 1) for r in self.entries for e in r):
+        if any(e not in (0, 1) for r in entries for e in r):
             raise ValueError("entries must be bits")
-        _inverse_rows(self.entries)
+        _inverse_rows(entries)
+        return super().__new__(cls, entries)
 
     @property
     def n(self) -> int:
@@ -314,8 +318,7 @@ def invariant_basis(n: int, d: int) -> list[Polynomial]:
 # -- coinvariants of primitives --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoinvariantReport:
+class CoinvariantReport(NamedTuple):
     n: int
     d: int
     dimension: int

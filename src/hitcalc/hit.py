@@ -16,8 +16,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import store
 from .gf2 import EchelonBasis, quotient_representatives
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HitSpace:
+class HitSpace(NamedTuple):
     n: int
     d: int
     basis: EchelonBasis
@@ -57,8 +55,7 @@ class HitSpace:
         return self.basis.rank
 
 
-@dataclass(frozen=True)
-class CohitBasis:
+class CohitBasis(NamedTuple):
     n: int
     d: int
     representatives: tuple[Monomial, ...]

@@ -21,8 +21,7 @@ kernel from the dual squares independently and checks that both agree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import store
 from .gf2 import EchelonBasis, ones
@@ -140,8 +139,7 @@ def dual_sq(k: int, xi: DElement) -> DElement:
 # -- the primitive subspace ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimitiveBasis:
+class PrimitiveBasis(NamedTuple):
     n: int
     d: int
     echelon: EchelonBasis  # canonical rows over the degree-d enumeration

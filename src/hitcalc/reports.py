@@ -2,23 +2,19 @@
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 __all__ = ["VerdictReport", "emit_report"]
 
 
-@dataclass
-class VerdictReport:
+class VerdictReport(NamedTuple):
     claim: str
     n: int
     d: int
     expected: int
     computed: int
     passed: bool
-    representatives: list[dict] = field(default_factory=list)
+    representatives: Sequence[dict] = ()
     timing_ms: float = 0.0
 
     def to_dict(self) -> dict:
@@ -29,7 +25,7 @@ class VerdictReport:
             "expected": self.expected,
             "computed": self.computed,
             "pass": self.passed,
-            "representatives": self.representatives,
+            "representatives": list(self.representatives),
             "timing_ms": round(self.timing_ms, 3),
         }
 
@@ -37,8 +33,13 @@ class VerdictReport:
 def emit_report(reports: list[VerdictReport], fmt: str = "text") -> str:
     """Serialize verdicts with stable field order; fmt is json, csv or text."""
     if fmt == "json":
+        import json
+
         return json.dumps([r.to_dict() for r in reports], indent=2)
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["claim", "n", "d", "expected", "computed", "pass"])

@@ -45,9 +45,8 @@ import sys
 import tempfile
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .budget import fits
 from .gf2 import EchelonBasis
@@ -109,8 +108,7 @@ def fetch(kind: str, n: int, d: int, compute: Callable[[], T]) -> T:
     return _memory[key]  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(NamedTuple):
     """One basis file: its key, its coordinate count m and its canonical rows.
 
     ``decode`` gives the rows as a sequence that decodes each row when it is

@@ -20,7 +20,7 @@ c_t words lambda_{2^(t+2)-1}^2 lambda_{3*2^t-1}).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budget import BudgetError
 from .glrep import coinvariant_classes
@@ -118,16 +118,14 @@ def label_dictionary(n: int, w: int) -> list[tuple[str, LambdaElement]]:
     return out
 
 
-@dataclass(frozen=True)
-class TransferImage:
+class TransferImage(NamedTuple):
     d_element: DElement
     lambda_element: LambdaElement
     cycle: bool
     matched_label: str | None
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
     n: int
     d: int
     coinvariant_dimension: int

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hitcalc import cli
+from hitcalc import cli, lambda_algebra
 from hitcalc.cli import main, thm21_expected
 from hitcalc.hit import cohit_dim
 from hitcalc.homology import DElement
@@ -70,6 +70,20 @@ class TestQueries:
     def test_unknown_option(self, run):
         code, _, _ = run("--threads", "2", "alpha", "7")
         assert code == 2
+
+    def test_internal_error(self, run, monkeypatch):
+        # a differential that raises a first index trips the stream's guard
+        real = lambda_algebra._differential_words
+        monkeypatch.setattr(
+            lambda_algebra,
+            "_differential_words",
+            lambda words: real(words) | {(u[0] + 1, 0) + u[1:] for u in words},
+        )
+        assert run("--no-cache", "ext", "-s", "3", "-w", "5") == (
+            4,
+            "",
+            "internal error: d(2, 2, 1) holds (3, 0, 2, 1): its first index rose\n",
+        )
 
 
 def readme_examples():
@@ -215,3 +229,56 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def modules_loaded(tmp_path, *argv):
+    """The modules a fresh interpreter holds after importing hitcalc.cli and
+    running argv, with no bytecode written or read from a cache."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    probe = (
+        "import sys, hitcalc.cli\n"
+        "if sys.argv[1:]:\n"
+        "    hitcalc.cli.main(sys.argv[1:])\n"
+        "print('\\n' + ' '.join(sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(result.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv, absent, present",
+    [
+        (
+            (),
+            ("dataclasses", "json", "csv", "hitcalc.glrep", "hitcalc.hit")
+            + ("hitcalc.homology", "hitcalc.lambda_algebra", "hitcalc.transfer"),
+            ("hitcalc.cli",),
+        ),
+        (
+            ("--no-cache", "ext", "-s", "3", "-w", "5"),
+            ("hitcalc.glrep", "hitcalc.hit", "hitcalc.transfer"),
+            ("hitcalc.lambda_algebra",),
+        ),
+        (
+            ("--no-cache", "--json", "verify", "thm21", "-t", "1", "-s", "1", "-u", "1"),
+            (),
+            ("json",),
+        ),
+    ],
+    ids=["import", "ext", "json-verify"],
+)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, absent, present):
+    loaded = modules_loaded(tmp_path, *argv)
+    assert not loaded & set(absent)
+    assert set(present) <= loaded

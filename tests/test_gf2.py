@@ -61,6 +61,18 @@ def basis_of(*rows_):
     return b
 
 
+class TestBitRow:
+    @pytest.mark.parametrize("bits, length", [(-1, 3), (8, 3)])
+    def test_rejects_bits_outside_the_row(self, bits, length):
+        with pytest.raises(ValueError):
+            BitRow(bits, length)
+
+    def test_fields(self):
+        r = BitRow(length=3, bits=5)
+        assert (r.bits, r.length, r.coords()) == (5, 3, (1, 0, 1))
+        assert r ^ BitRow(1, 3) == BitRow(4, 3) == BitRow.from_coords((0, 0, 1))
+
+
 class TestReduceAgainst:
     def test_zero_row_reduces_to_zero(self):
         b = basis_of(row(1, 0, 0))

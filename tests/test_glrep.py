@@ -99,6 +99,18 @@ class TestGLMatrix:
         with pytest.raises(ValueError, match="matrix is not invertible over F2"):
             parse_glmatrix("11;11")
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((1, 0),), "matrix must be square"),
+            (((1, 0), (0, 2)), "entries must be bits"),
+            (((0, 1), (0, 1)), "matrix is not invertible over F2"),
+        ],
+    )
+    def test_constructor_validates(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            GLMatrix(entries)
+
 
 class TestGenerators:
     def test_rank_one_trivial(self):
