@@ -14,18 +14,18 @@ import importlib
 # the first time one of its names is read (PEP 562), so that a command loads
 # only the modules it runs.
 _EXPORTS = {
-    "budget": "Budget BudgetError DEFAULT_BUDGET HEAVY_BUDGET",
-    "gf2": "BitRow EchelonBasis quotient_representatives",
+    "budget": "BudgetError DEFAULT_BUDGET HEAVY_BUDGET",
+    "gf2": "EchelonBasis quotient_representatives",
     "glrep": "CoinvariantReport GLMatrix act_homology act_poly coinvariant_class_nonzero"
     " coinvariant_classes generators group_closure invariant_basis parse_glmatrix",
-    "hit": "CohitBasis HitSpace cohit_basis cohit_dim hit_basis kameko_down"
+    "hit": "CohitBasis cohit_basis cohit_dim hit_basis kameko_down"
     " kameko_down_poly kameko_iso_applicable peterson_wood_zero reduce_degree_chain",
     "homology": "DElement DMonomial PrimitiveBasis dp_product dual_kameko_up dual_sq"
     " pair parse_delement parse_dmonomial primitive_basis zeta_element",
     "lambda_algebra": "LambdaElement LambdaWord TerminationGuardError bidegree_basis"
     " differential homology_dim is_boundary is_cycle normal_form parse_lambda_element"
     " relation_element",
-    "steenrod": "GenericDegree Monomial Polynomial alpha enumerate_monomials"
+    "steenrod": "Monomial Polynomial alpha enumerate_monomials"
     " generic_degree mu parse_monomial parse_polynomial sq sq_monomial",
     "transfer": "TransferImage TransferReport class_equal label_dictionary psi"
     " transfer_report",

@@ -14,46 +14,35 @@ same way.  The cap on lambda words per bidegree is a fixed constant of
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 
 class BudgetError(RuntimeError):
     """A computation would exceed its configured resource budget."""
 
 
-class Budget(NamedTuple):
-    """A ceiling on the bytes held by echelon bases."""
+#: The bytes echelon bases may hold by default.
+DEFAULT_BUDGET = 512 << 20
 
-    max_bytes: int = 512 * 1024 * 1024
+#: The bytes for the opt-in heavy computations (rank 5, degree 50).
+HEAVY_BUDGET = 32 << 30
 
-    @classmethod
-    def from_mb(cls, mb: int) -> "Budget":
-        return cls(max_bytes=mb * 1024 * 1024)
-
-
-DEFAULT_BUDGET = Budget()
-
-#: Budget suitable for the opt-in heavy computations (rank 5, degree 50).
-HEAVY_BUDGET = Budget(max_bytes=32 * 1024 * 1024 * 1024)
-
-_current = DEFAULT_BUDGET
+_max_bytes = DEFAULT_BUDGET
 
 
-def configure(limit: Budget | None) -> None:
-    """Set the budget every elimination charges; None restores DEFAULT_BUDGET."""
-    global _current
-    _current = DEFAULT_BUDGET if limit is None else limit
+def configure(max_bytes: int | None) -> None:
+    """Set the bytes every elimination may hold; None restores DEFAULT_BUDGET."""
+    global _max_bytes
+    _max_bytes = DEFAULT_BUDGET if max_bytes is None else max_bytes
 
 
 def fits(needed: int) -> bool:
     """Whether needed bytes are within the budget."""
-    return needed <= _current.max_bytes
+    return needed <= _max_bytes
 
 
 def check_bytes(needed: int) -> None:
     """Raise BudgetError if an echelon basis holding needed bytes exceeds the budget."""
     if not fits(needed):
-        need, limit = -(-needed * 10 // 2**20), _current.max_bytes * 10 // 2**20
+        need, limit = -(-needed * 10 // 2**20), _max_bytes * 10 // 2**20
         raise BudgetError(
             f"echelon basis needs about {need / 10:.1f} MiB, "
             f"budget is {limit / 10:.1f} MiB"

@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import budget, store
-from .budget import Budget, BudgetError, HEAVY_BUDGET
+from .budget import BudgetError, HEAVY_BUDGET
 from .reports import VerdictReport, emit_report
 from .steenrod import alpha, generic_degree, mu
 
@@ -24,7 +24,7 @@ def _generic4_degree(t: int, s: int, u: int) -> int:
 
 
 def _rank5_degree(t: int) -> int:
-    return generic_degree(5, t, 50).value
+    return generic_degree(5, t, 50)
 
 
 def thm21_expected(t: int, s: int, u: int) -> tuple[int, str | None]:
@@ -62,7 +62,7 @@ class _Ctx:
     def __init__(self, args: argparse.Namespace):
         limit = HEAVY_BUDGET if args.allow_heavy else None
         if args.budget_mb is not None:
-            limit = Budget.from_mb(args.budget_mb)
+            limit = args.budget_mb << 20
         budget.configure(limit)
         self.allow_heavy = args.allow_heavy
         store.configure(None if args.no_cache else store.cache_dir(args.cache_dir))
@@ -222,8 +222,8 @@ def _verify_thm21(args, ctx: _Ctx) -> list[VerdictReport]:
 
 def _verify_cor22(args, ctx: _Ctx) -> list[VerdictReport]:
     from .glrep import coinvariant_classes
-    from .lambda_algebra import differential, homology_dim
-    from .transfer import class_equal, label_dictionary, psi
+    from .lambda_algebra import homology_dim
+    from .transfer import transfer_image
 
     t, s, u = args.t, args.s, args.u
     d = _generic4_degree(t, s, u)
@@ -234,21 +234,14 @@ def _verify_cor22(args, ctx: _Ctx) -> list[VerdictReport]:
     ok = coinv == ext == expected
     reps: list[dict] = []
     if family is not None:
-        z = _zeta_for(family, t, s, u)
-        image = psi(4, z)
-        cycle = differential(image).is_zero()
-        label = None
-        for name, word in label_dictionary(4, d):
-            if class_equal(image, word):
-                label = name
-                break
-        ok = ok and cycle and label is not None
+        image = transfer_image(4, d, _zeta_for(family, t, s, u))
+        ok = ok and image.cycle and image.matched_label is not None
         reps.append(
             {
-                "d_element": str(z),
-                "lambda_element": str(image),
-                "cycle": cycle,
-                "label": label,
+                "d_element": str(image.d_element),
+                "lambda_element": str(image.lambda_element),
+                "cycle": image.cycle,
+                "label": image.matched_label,
             }
         )
     return [

@@ -35,12 +35,11 @@ Faugere-Lachartre (PASCO 2010).
 from __future__ import annotations
 
 from sys import getsizeof
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import check_bytes
 
 __all__ = [
-    "BitRow",
     "EchelonBasis",
     "quotient_representatives",
     "ones",
@@ -57,61 +56,15 @@ def ones(bits: int) -> list[int]:
     return out
 
 
-# A NamedTuple may not define __new__, so the validating subclass does.
-class _BitRowFields(NamedTuple):
-    bits: int
-    length: int
-
-
-class BitRow(_BitRowFields):
-    """A fixed-length vector over F2, packed into a Python int (bit i = coordinate i)."""
-
-    __slots__ = ()
-
-    def __new__(cls, bits: int, length: int) -> "BitRow":
-        if bits < 0:
-            raise ValueError("BitRow bits must be non-negative")
-        if bits >> length:
-            raise ValueError("BitRow has bits outside its stated length")
-        return super().__new__(cls, bits, length)
-
-    @classmethod
-    def zero(cls, length: int) -> "BitRow":
-        return cls(0, length)
-
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "BitRow":
-        """Build from an explicit 0/1 coordinate sequence, e.g. (1, 1, 0)."""
-        bits = 0
-        for i, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << i
-        return cls(bits, len(coords))
-
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.length))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(ones(self.bits))
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __xor__(self, other: "BitRow") -> "BitRow":
-        if self.length != other.length:
-            raise ValueError("length mismatch in BitRow xor")
-        return BitRow(self.bits ^ other.bits, self.length)
-
-
 class EchelonBasis:
     """Echelon basis of a subspace of F2^ambient_length.
 
     Every stored row is nonzero and has a distinct pivot, and is held as
-    ``row >> pivot`` (see the module docstring).  ``insert`` reduces the new
-    row against the stored ones and reports whether the span grew.
-    ``iter_row_ints``, ``row_ints``, ``rows``, ``kernel`` and ``==`` see the
-    canonical reduced form, which depends only on the span, not on insertion
-    order; the first two hand out absolute ints.  This is the one place the
+    ``row >> pivot`` (see the module docstring).  ``insert_int`` reduces the
+    new row against the stored ones and reports whether the span grew.
+    ``iter_row_ints``, ``row_ints``, ``kernel`` and ``==`` see the canonical
+    reduced form, which depends only on the span, not on insertion order;
+    the first two hand out absolute ints.  This is the one place the
     budget (``hitcalc.budget``) is charged, with no up-front estimate: a
     refusal comes once the ``getsizeof`` total of the shifted row ints held
     crosses it, checked per insert, after the canonical form rewrites (and
@@ -182,10 +135,6 @@ class EchelonBasis:
         """Canonical rows as ints, ordered by increasing pivot."""
         return list(self.iter_row_ints())
 
-    @property
-    def rows(self) -> list[BitRow]:
-        return [BitRow(b, self.ambient_length) for b in self.iter_row_ints()]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EchelonBasis):
             return NotImplemented
@@ -199,12 +148,6 @@ class EchelonBasis:
         return f"EchelonBasis(ambient={self.ambient_length}, rank={self.rank})"
 
     # -- elimination --------------------------------------------------------
-
-    def _check_length(self, length: int) -> None:
-        if length != self.ambient_length:
-            raise ValueError(
-                f"row length {length} does not match ambient {self.ambient_length}"
-            )
 
     def _reduce(self, bits: int) -> int:
         # Each stored row's lowest bit is its pivot, so clearing the lowest
@@ -264,11 +207,6 @@ class EchelonBasis:
             raise ValueError(f"row has a bit outside ambient {self.ambient_length}")
         return self._insert(bits)
 
-    def insert(self, v: BitRow) -> bool:
-        """Grow the span by v; returns True iff the rank increased."""
-        self._check_length(v.length)
-        return self._insert(v.bits)
-
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
         """Insert a batch of index rows, as ``insert_indices`` does one.
 
@@ -280,13 +218,13 @@ class EchelonBasis:
         for r in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
             insert(r)
 
-    def reduce(self, v: BitRow) -> BitRow:
-        """Residual of v modulo the span: zeros at every pivot coordinate."""
-        self._check_length(v.length)
-        return BitRow(self._reduce(v.bits), self.ambient_length)
-
     def reduce_int(self, bits: int) -> int:
+        """Residual of a row int modulo the span: zeros at every pivot coordinate."""
         return self._reduce(bits)
+
+    # perfbench/trace_cli.py wraps these two names; they go with ROADMAP item 3
+    insert = insert_int
+    reduce = reduce_int
 
     def kernel(self) -> "EchelonBasis":
         """Reduced basis of the null space of the matrix whose rows are this basis.
@@ -310,15 +248,11 @@ class EchelonBasis:
         return out
 
 
-def quotient_representatives(ambient_coords: int, b: EchelonBasis) -> list[int]:
+def quotient_representatives(b: EchelonBasis) -> list[int]:
     """Non-pivot coordinates in enumeration order.
 
     The corresponding unit vectors project to a basis of the quotient of the
     ambient space by span(b).
     """
-    if b.ambient_length != ambient_coords:
-        raise ValueError(
-            f"basis ambient {b.ambient_length} does not match {ambient_coords}"
-        )
     pivotset = b._rows
-    return [c for c in range(ambient_coords) if c not in pivotset]
+    return [c for c in range(b.ambient_length) if c not in pivotset]

@@ -57,6 +57,11 @@ class GLMatrix(_GLMatrixFields):
         _inverse_rows(entries)
         return super().__new__(cls, entries)
 
+    @classmethod
+    def _make(cls, iterable) -> "GLMatrix":
+        # _replace builds through _make, so both validate here
+        return cls(*iterable)
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -283,7 +288,7 @@ def invariant_basis(n: int, d: int) -> list[Polynomial]:
     q = len(reps)
     if q == 0:
         return []
-    hit = cohits.hit.basis
+    hit = cohits.hit
     index = degree_index(n, d)
     tuples = list(index)
     rep_pos = {m: i for i, m in enumerate(reps)}
@@ -365,7 +370,7 @@ def coinvariant_classes(n: int, d: int) -> CoinvariantReport:
     p = prim.dimension
     if p == 0:
         return CoinvariantReport(n, d, 0, (), 0)
-    reps = tuple(prim.elements(quotient_representatives(p, relations)))
+    reps = tuple(prim.elements(quotient_representatives(relations)))
     return CoinvariantReport(n, d, p - relations.rank, reps, relations.rank)
 
 

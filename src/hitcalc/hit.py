@@ -31,7 +31,6 @@ from .steenrod import (
 )
 
 __all__ = [
-    "HitSpace",
     "CohitBasis",
     "hit_basis",
     "hit_echelon",
@@ -45,21 +44,11 @@ __all__ = [
 ]
 
 
-class HitSpace(NamedTuple):
-    n: int
-    d: int
-    basis: EchelonBasis
-
-    @property
-    def rank(self) -> int:
-        return self.basis.rank
-
-
 class CohitBasis(NamedTuple):
     n: int
     d: int
     representatives: tuple[Monomial, ...]
-    hit: HitSpace
+    hit: EchelonBasis  # the canonical hit space
 
     @property
     def dimension(self) -> int:
@@ -147,25 +136,23 @@ def hit_echelon(n: int, d: int) -> EchelonBasis:
     return basis
 
 
-def hit_basis(n: int, d: int) -> HitSpace:
+def hit_basis(n: int, d: int) -> EchelonBasis:
     """Canonical echelon basis of the hit subspace of degree d in n variables."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    echelon = store.cached_hit_basis(n, d, lambda: hit_echelon(n, d))
-    return HitSpace(n, d, echelon)
+    return store.cached_hit_basis(n, d, lambda: hit_echelon(n, d))
 
 
 def cohit_basis(n: int, d: int) -> CohitBasis:
     """Monomial representatives of a basis of the degree-d cohit quotient."""
-    space = hit_basis(n, d)
+    hit = hit_basis(n, d)
     tuples = _tuples(n, d)
-    reps = quotient_representatives(len(tuples), space.basis)
-    return CohitBasis(n, d, tuple(Monomial(tuples[i]) for i in reps), space)
+    reps = tuple(Monomial(tuples[i]) for i in quotient_representatives(hit))
+    return CohitBasis(n, d, reps, hit)
 
 
 def cohit_dim(n: int, d: int) -> int:
-    space = hit_basis(n, d)
-    return monomial_count(n, d) - space.rank
+    return monomial_count(n, d) - hit_basis(n, d).rank
 
 
 def peterson_wood_zero(n: int, d: int) -> bool:

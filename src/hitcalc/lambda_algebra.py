@@ -255,27 +255,19 @@ def is_cycle(e: LambdaElement) -> bool:
 # -- bidegree bases and homology -------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def bidegree_count(s: int, w: int) -> int:
     """Number of reduced words of length s and weight w."""
-    if w < 0:
-        return 0
-    if s == 0:
-        return 1 if w == 0 else 0
-    if s == 1:
-        return 1
-    # append a last index i_s = v; the previous index must satisfy i <= 2v
-    return sum(
-        _count_bounded(s - 1, w - v, 2 * v) for v in range(w + 1)
-    )
+    return _count_bounded(s, w, w)  # no index exceeds the weight
 
 
 @functools.lru_cache(maxsize=None)
 def _count_bounded(s: int, w: int, bound: int) -> int:
+    """Number of reduced words of length s, weight w and last index <= bound."""
     if w < 0 or w > bound * ((1 << s) - 1):
         return 0
     if s == 0:
         return 1 if w == 0 else 0
+    # append a last index v; the previous index must satisfy i <= 2v
     return sum(_count_bounded(s - 1, w - v, 2 * v) for v in range(min(w, bound) + 1))
 
 

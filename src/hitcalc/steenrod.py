@@ -16,7 +16,7 @@ here is the global coordinate system used by every bit row in the package.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .terms import Term, TermSet
 
@@ -26,7 +26,6 @@ __all__ = [
     "alpha",
     "mu",
     "generic_degree",
-    "GenericDegree",
     "enumerate_monomials",
     "degree_index",
     "monomial_count",
@@ -58,15 +57,9 @@ def mu(ell: int) -> int:
     return r
 
 
-class GenericDegree(NamedTuple):
-    value: int
-    constraint_met: bool  # whether mu(ell) < k
-
-
-def generic_degree(k: int, t: int, ell: int) -> GenericDegree:
-    """k(2^t - 1) + ell * 2^t, flagged with whether mu(ell) < k."""
-    value = k * ((1 << t) - 1) + (ell << t)
-    return GenericDegree(value, mu(ell) < k)
+def generic_degree(k: int, t: int, ell: int) -> int:
+    """k(2^t - 1) + ell * 2^t."""
+    return k * ((1 << t) - 1) + (ell << t)
 
 
 # -- monomials and polynomials -------------------------------------------------

@@ -46,7 +46,7 @@ import tempfile
 import zlib
 from collections.abc import Sequence
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, NamedTuple
 
 from .budget import fits
 from .gf2 import EchelonBasis
@@ -55,7 +55,6 @@ from .steenrod import monomial_count
 __all__ = [
     "CacheEntry",
     "configure",
-    "fetch",
     "peek",
     "cache_dir",
     "cache_load",
@@ -82,9 +81,7 @@ _KIND_NAMES = {v: k for k, v in _KINDS.items()}
 ENV_VAR = "HITCALC_CACHE"
 DEFAULT_DIR = ".hitcalc-cache"
 
-T = TypeVar("T")
-
-_memory: dict[tuple[str, int, int], object] = {}
+_memory: dict[tuple[str, int, int], EchelonBasis] = {}
 _directory: Path | None = None  # the disk tier, or None when it is off
 
 
@@ -95,17 +92,9 @@ def configure(directory: Path | None) -> None:
     _memory.clear()
 
 
-def peek(kind: str, n: int, d: int) -> object | None:
-    """The memory tier's value of kind at (n, d), or None; never computes or loads."""
+def peek(kind: str, n: int, d: int) -> EchelonBasis | None:
+    """The memory tier's basis of kind at (n, d), or None; never computes or loads."""
     return _memory.get((kind, n, d))
-
-
-def fetch(kind: str, n: int, d: int, compute: Callable[[], T]) -> T:
-    """The memoised value of kind at (n, d); compute() runs on the first request."""
-    key = (kind, n, d)
-    if key not in _memory:
-        _memory[key] = compute()
-    return _memory[key]  # type: ignore[return-value]
 
 
 class CacheEntry(NamedTuple):
@@ -241,15 +230,22 @@ def _load_basis(
 def _fetch_echelon(
     kind: str, n: int, d: int, m: int, compute: Callable[[], EchelonBasis]
 ) -> EchelonBasis:
-    """``fetch`` for an echelon kind of m coordinates, through the disk tier when on."""
+    """The memoised basis of kind at (n, d) over m coordinates.
 
-    def load_or_compute() -> EchelonBasis:
-        directory = _directory
-        if directory is None:
-            return compute()
+    The first request loads it from the disk tier when that is on.  On a
+    miss there, or with the tier off, compute() runs, and a disk tier that
+    is on gets the result if its file fits the budget.
+    """
+    key = (kind, n, d)
+    basis = _memory.get(key)
+    if basis is not None:
+        return basis
+    directory = _directory
+    if directory is not None:
         basis = _load_basis(kind, n, d, m, directory)
-        if basis is None:
-            basis = compute()
+    if basis is None:
+        basis = compute()
+        if directory is not None:
             size = _encoded_size(m, basis.rank)
             if fits(size):
                 cache_store(CacheEntry(kind, n, d, m, basis.iter_row_ints()), directory)
@@ -259,9 +255,8 @@ def _fetch_echelon(
                     f"warning: not caching {path}: its {size:,} bytes exceed the budget",
                     file=sys.stderr,
                 )
-        return basis
-
-    return fetch(kind, n, d, load_or_compute)
+    _memory[key] = basis
+    return basis
 
 
 # -- the echelon kinds -----------------------------------------------------------

@@ -11,10 +11,11 @@ is the index word of its exponents.  On primitive elements the image is a
 cycle, and its homology class is the transfer image; both facts are
 verified by the test suite on every computed representative.
 
-``transfer_report`` packages the coinvariant classes of a bidegree with
-their lambda images, cycle checks, and any matching label from the small
-dictionary of named classes (h_j as lambda_{2^j - 1}, and the three-factor
-c_t words lambda_{2^(t+2)-1}^2 lambda_{3*2^t-1}).
+``transfer_image`` gives a primitive's lambda image, its cycle check and
+any matching label from the small dictionary of named classes (h_j as
+lambda_{2^j - 1}, and the three-factor c_t words
+lambda_{2^(t+2)-1}^2 lambda_{3*2^t-1}); ``transfer_report`` gives it for
+each coinvariant class of a bidegree.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "psi",
     "class_equal",
     "label_dictionary",
+    "transfer_image",
     "transfer_report",
 ]
 
@@ -132,20 +134,24 @@ class TransferReport(NamedTuple):
     representatives: tuple[TransferImage, ...]
 
 
+def transfer_image(n: int, d: int, xi: DElement) -> TransferImage:
+    """The lambda image of a degree-d primitive, whether it is a cycle, and
+    the first dictionary label of its class, searched only for a cycle."""
+    image = psi(n, xi)
+    cycle = differential(image).is_zero()
+    label = None
+    if cycle:
+        for name, word in label_dictionary(n, d):
+            if class_equal(image, word):
+                label = name
+                break
+    return TransferImage(xi, image, cycle, label)
+
+
 def transfer_report(n: int, d: int) -> TransferReport:
     """Coinvariant classes with their lambda images, cycle checks and labels."""
     if n > 5:
         raise BudgetError("transfer reports are budgeted for rank <= 5")
     report = coinvariant_classes(n, d)
-    images = []
-    for rep in report.class_representatives:
-        image = psi(n, rep)
-        cycle = differential(image).is_zero()
-        label = None
-        if cycle:
-            for name, word in label_dictionary(n, d):
-                if class_equal(image, word):
-                    label = name
-                    break
-        images.append(TransferImage(rep, image, cycle, label))
-    return TransferReport(n, d, report.dimension, tuple(images))
+    images = tuple(transfer_image(n, d, rep) for rep in report.class_representatives)
+    return TransferReport(n, d, report.dimension, images)

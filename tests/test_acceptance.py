@@ -13,7 +13,7 @@ import time
 import pytest
 
 from hitcalc import budget
-from hitcalc.budget import HEAVY_BUDGET, Budget
+from hitcalc.budget import HEAVY_BUDGET
 from hitcalc.gf2 import EchelonBasis
 from hitcalc.glrep import (
     coinvariant_class_nonzero,
@@ -37,7 +37,7 @@ from hitcalc.steenrod import (
 )
 from hitcalc.transfer import class_equal, psi
 
-BUDGET = Budget.from_mb(2048)
+BUDGET = 2048 << 20
 
 
 @pytest.fixture(scope="module", autouse=True)

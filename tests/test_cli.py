@@ -231,6 +231,23 @@ def test_cli_import_leaves_numpy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/trace_cli.py looks the engine names it wraps up with getattr,
+    # so a renamed or deleted one would otherwise break only traced runs
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "import trace_cli\n"
+        "trace_cli.install(trace_cli.Tracer())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def modules_loaded(tmp_path, *argv):
     """The modules a fresh interpreter holds after importing hitcalc.cli and
     running argv, with no bytecode written or read from a cache."""

@@ -111,6 +111,15 @@ class TestGLMatrix:
         with pytest.raises(ValueError, match=message):
             GLMatrix(entries)
 
+    def test_make_and_replace_validate(self):
+        singular = "matrix is not invertible over F2"
+        with pytest.raises(ValueError, match=singular):
+            GLMatrix._make([((0, 1), (0, 1))])
+        with pytest.raises(ValueError, match=singular):
+            GLMatrix.identity(2)._replace(entries=((1, 1), (1, 1)))
+        g = GLMatrix.identity(2)._replace(entries=((1, 1), (0, 1)))
+        assert type(g) is GLMatrix and g == parse_glmatrix("11;01")
+
 
 class TestGenerators:
     def test_rank_one_trivial(self):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from hitcalc import budget
-from hitcalc.budget import Budget, BudgetError
+from hitcalc.budget import BudgetError
 from hitcalc.gf2 import EchelonBasis
 from hitcalc.hit import (
     _generator_rows,
@@ -79,7 +79,7 @@ class TestHitBasis:
                 assert hit_basis(n, d).rank == all_k_hit_rank(n, d), (n, d)
 
     def test_budget_error(self):
-        budget.configure(Budget(max_bytes=1024))
+        budget.configure(1024)
         try:
             with pytest.raises(BudgetError):
                 hit_basis(5, 50)
@@ -109,7 +109,7 @@ class TestCohits:
         from hitcalc import store
 
         store.configure(None)  # empties the memory tier
-        a = hit_basis(3, 8).basis.row_ints()
+        a = hit_basis(3, 8).row_ints()
         store.configure(None)
         original = hit_mod._generator_rows
 
@@ -119,7 +119,7 @@ class TestCohits:
             return iter(rows)
 
         monkeypatch.setattr(hit_mod, "_generator_rows", shuffled)
-        b = hit_basis(3, 8).basis.row_ints()
+        b = hit_basis(3, 8).row_ints()
         store.configure(None)
         assert a == b
 
@@ -159,7 +159,7 @@ class TestKameko:
             small = hit_basis(n, d)
             tuples = list(degree_index(n, 2 * d + n))
             small_index = degree_index(n, d)
-            for bits in rng.sample(big.basis.row_ints(), min(6, big.rank)):
+            for bits in rng.sample(big.row_ints(), min(6, big.rank)):
                 terms = []
                 b = bits
                 while b:
@@ -167,7 +167,7 @@ class TestKameko:
                     terms.append(Monomial(tuples[low.bit_length() - 1]))
                     b ^= low
                 image = kameko_down_poly(n, Polynomial(terms, n))
-                residue = small.basis.reduce_int(
+                residue = small.reduce_int(
                     sum(1 << small_index[tuple(m)] for m in image.terms)
                 )
                 assert residue == 0, (n, d)

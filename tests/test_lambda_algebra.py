@@ -180,6 +180,11 @@ class TestBidegreeBasis:
         reduced = {w for w in raw if w[0] <= 2 * w[1] and w[1] <= 2 * w[2]}
         assert {tuple(w) for w in bidegree_basis(3, 8)} == reduced
 
+    def test_count_equals_the_enumeration(self):
+        for s in range(6):
+            for w in range(-2, 31):
+                assert bidegree_count(s, w) == len(bidegree_basis_tuples(s, w)), (s, w)
+
     def test_budget(self):
         assert bidegree_count(6, 120) == 12_499_171 > MAX_WORDS_PER_BIDEGREE
         # the sources are checked first, so the cap names the bidegree asked for

@@ -173,7 +173,7 @@ class TestCachedWrappers:
         store.configure(None)
 
     def test_hit_roundtrip(self, tmp_path):
-        rows = hit_basis(2, 6).basis.row_ints()
+        rows = hit_basis(2, 6).row_ints()
         store.configure(tmp_path)  # empties the memory tier
         assert cached_hit_basis(2, 6, unreachable).row_ints() == rows
 
@@ -203,11 +203,11 @@ class TestCachedWrappers:
 
     def test_cache_matches_direct_computation(self, tmp_path):
         store.configure(None)
-        direct = hit_basis(3, 7).basis.row_ints()
+        direct = hit_basis(3, 7).row_ints()
         store.configure(tmp_path)
         hit_basis(3, 7)
         store.configure(tmp_path)
-        assert hit_basis(3, 7).basis.row_ints() == direct
+        assert hit_basis(3, 7).row_ints() == direct
 
     @pytest.mark.parametrize(
         "rows",

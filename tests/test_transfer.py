@@ -1,13 +1,17 @@
+import json
+
 import pytest
 
-from hitcalc import budget, store
-from hitcalc.budget import Budget, BudgetError
+from hitcalc import budget, store, transfer
+from hitcalc.cli import main
+from hitcalc.budget import BudgetError
 from hitcalc.homology import DElement, primitive_basis, zeta_element
 from hitcalc.lambda_algebra import LambdaElement, differential, normal_form
 from hitcalc.transfer import (
     class_equal,
     label_dictionary,
     psi,
+    transfer_image,
     transfer_report,
 )
 
@@ -73,7 +77,7 @@ class TestClassEqual:
         # with h_0h_1h_3h_4, which needs the boundary echelon at (4, 23)
         image = psi(4, zeta_element("B", 1, 2, 1))
         store.configure(None)  # nothing memoised: the echelon is built here
-        budget.configure(Budget(max_bytes=8))
+        budget.configure(8)
         try:
             with pytest.raises(BudgetError, match="echelon basis"):
                 class_equal(image, LambdaElement.from_word(0, 1, 7, 15))
@@ -113,3 +117,30 @@ class TestTransferReport:
         assert image.cycle
         assert image.matched_label == "h_4c_0"
         assert (image.lambda_element.length, image.lambda_element.weight) == (4, 23)
+
+
+class TestTransferImage:
+    def test_agrees_with_verify_cor22(self, capsys):
+        z = zeta_element("B", 1, 2, 1)
+        image = transfer_image(4, 23, z)
+        assert image.d_element == z and image.cycle
+        assert image.matched_label == "h_4c_0"
+        assert main(["--no-cache", "--json", "verify", "cor22", "-t", "1", "-s", "2", "-u", "1"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["representatives"] == [
+            {
+                "d_element": str(z),
+                "lambda_element": str(image.lambda_element),
+                "cycle": True,
+                "label": "h_4c_0",
+            }
+        ]
+
+    def test_labels_are_searched_only_for_a_cycle(self, monkeypatch):
+        def no_search(n, w):
+            raise AssertionError("label search for a non-cycle")
+
+        monkeypatch.setattr(transfer, "label_dictionary", no_search)
+        image = transfer_image(2, 3, delem((2, 1)))  # psi gives lambda_2 lambda_1
+        assert image.lambda_element == LambdaElement.from_word(2, 1)
+        assert not image.cycle and image.matched_label is None
