@@ -23,10 +23,6 @@ def _generic4_degree(t: int, s: int, u: int) -> int:
     return (1 << (t + s + u)) + (1 << (t + s)) + (1 << t) - 3
 
 
-def _rank5_degree(t: int) -> int:
-    return generic_degree(5, t, 50)
-
-
 def thm21_expected(t: int, s: int, u: int) -> tuple[int, str | None]:
     """Dimension table of the rank-4 coinvariants in the generic degrees.
 
@@ -48,47 +44,20 @@ def thm21_expected(t: int, s: int, u: int) -> tuple[int, str | None]:
     return 1, "C"  # s >= 2, u >= 2, t >= 2
 
 
-def _zeta_for(family: str, t: int, s: int, u: int):
-    from .homology import zeta_element
-
-    if family == "A":
-        return zeta_element("A", t, 1, 2)
-    if family == "B":
-        return zeta_element("B", 1, 2, u)
-    return zeta_element("C", t, s, u)
-
-
-class _Ctx:
-    def __init__(self, args: argparse.Namespace):
-        limit = HEAVY_BUDGET if args.allow_heavy else None
-        if args.budget_mb is not None:
-            limit = args.budget_mb << 20
-        budget.configure(limit)
-        self.allow_heavy = args.allow_heavy
-        store.configure(None if args.no_cache else store.cache_dir(args.cache_dir))
-        self.fmt = "json" if args.json else "csv" if args.csv else "text"
-
-    def require_heavy(self, what: str) -> None:
-        if not self.allow_heavy:
-            raise BudgetError(
-                f"{what} is a heavy computation; rerun with --allow-heavy"
-            )
-
-
 # -- query commands ---------------------------------------------------------------
 
 
-def _cmd_alpha(args, ctx) -> int:
+def _cmd_alpha(args) -> int:
     print(alpha(args.value))
     return 0
 
 
-def _cmd_mu(args, ctx) -> int:
+def _cmd_mu(args) -> int:
     print(mu(args.value))
     return 0
 
 
-def _cmd_cohit(args, ctx: _Ctx) -> int:
+def _cmd_cohit(args) -> int:
     from .hit import cohit_basis, reduce_degree_chain
 
     basis = cohit_basis(args.n, args.d)
@@ -102,7 +71,7 @@ def _cmd_cohit(args, ctx: _Ctx) -> int:
     return 0
 
 
-def _cmd_primitives(args, ctx: _Ctx) -> int:
+def _cmd_primitives(args) -> int:
     from .homology import primitive_basis
 
     basis = primitive_basis(args.n, args.d)
@@ -113,7 +82,7 @@ def _cmd_primitives(args, ctx: _Ctx) -> int:
     return 0
 
 
-def _cmd_invariants(args, ctx: _Ctx) -> int:
+def _cmd_invariants(args) -> int:
     from .glrep import invariant_basis
 
     classes = invariant_basis(args.n, args.d)
@@ -123,7 +92,7 @@ def _cmd_invariants(args, ctx: _Ctx) -> int:
     return 0
 
 
-def _cmd_coinvariants(args, ctx: _Ctx) -> int:
+def _cmd_coinvariants(args) -> int:
     from .glrep import coinvariant_classes
 
     report = coinvariant_classes(args.n, args.d)
@@ -133,7 +102,17 @@ def _cmd_coinvariants(args, ctx: _Ctx) -> int:
     return 0
 
 
-def _cmd_transfer(args, ctx: _Ctx) -> int:
+def _image_entry(image) -> dict:
+    """A transfer image as one representative of a verdict report."""
+    return {
+        "d_element": str(image.d_element),
+        "lambda_element": str(image.lambda_element),
+        "cycle": image.cycle,
+        "label": image.matched_label,
+    }
+
+
+def _cmd_transfer(args) -> int:
     from .transfer import transfer_report
 
     report = transfer_report(args.n, args.d)
@@ -144,35 +123,27 @@ def _cmd_transfer(args, ctx: _Ctx) -> int:
         expected=report.coinvariant_dimension,
         computed=report.coinvariant_dimension,
         passed=all(r.cycle for r in report.representatives),
-        representatives=[
-            {
-                "d_element": str(r.d_element),
-                "lambda_element": str(r.lambda_element),
-                "cycle": r.cycle,
-                "label": r.matched_label,
-            }
-            for r in report.representatives
-        ],
+        representatives=[_image_entry(r) for r in report.representatives],
     )
-    print(emit_report([verdict], ctx.fmt), end="")
+    print(emit_report([verdict], args.fmt), end="")
     return 0 if verdict.passed else 1
 
 
-def _cmd_lambda_nf(args, ctx) -> int:
+def _cmd_lambda_nf(args) -> int:
     from .lambda_algebra import normal_form, parse_lambda_element
 
     print(str(normal_form(parse_lambda_element(args.element))))
     return 0
 
 
-def _cmd_lambda_d(args, ctx) -> int:
+def _cmd_lambda_d(args) -> int:
     from .lambda_algebra import differential, parse_lambda_element
 
     print(str(differential(parse_lambda_element(args.element))))
     return 0
 
 
-def _cmd_ext(args, ctx: _Ctx) -> int:
+def _cmd_ext(args) -> int:
     from .lambda_algebra import homology_dim
 
     print(homology_dim(args.s, args.w))
@@ -182,9 +153,9 @@ def _cmd_ext(args, ctx: _Ctx) -> int:
 # -- verification drivers ----------------------------------------------------------
 
 
-def _verify_thm21(args, ctx: _Ctx) -> list[VerdictReport]:
+def _verify_thm21(args) -> list[VerdictReport]:
     from .glrep import coinvariant_class_nonzero, coinvariant_classes
-    from .homology import dual_sq
+    from .homology import dual_sq, zeta_element
 
     t, s, u = args.t, args.s, args.u
     d = _generic4_degree(t, s, u)
@@ -194,7 +165,7 @@ def _verify_thm21(args, ctx: _Ctx) -> list[VerdictReport]:
     ok = report.dimension == expected
     reps: list[dict] = []
     if family is not None:
-        z = _zeta_for(family, t, s, u)
+        z = zeta_element(family, t, s, u)
         primitive = all(dual_sq(1 << i, z).is_zero() for i in range(d.bit_length()))
         nonzero = primitive and coinvariant_class_nonzero(4, d, z)
         ok = ok and primitive and nonzero
@@ -220,8 +191,9 @@ def _verify_thm21(args, ctx: _Ctx) -> list[VerdictReport]:
     ]
 
 
-def _verify_cor22(args, ctx: _Ctx) -> list[VerdictReport]:
+def _verify_cor22(args) -> list[VerdictReport]:
     from .glrep import coinvariant_classes
+    from .homology import zeta_element
     from .lambda_algebra import homology_dim
     from .transfer import transfer_image
 
@@ -234,16 +206,9 @@ def _verify_cor22(args, ctx: _Ctx) -> list[VerdictReport]:
     ok = coinv == ext == expected
     reps: list[dict] = []
     if family is not None:
-        image = transfer_image(4, d, _zeta_for(family, t, s, u))
+        image = transfer_image(4, d, zeta_element(family, t, s, u))
         ok = ok and image.cycle and image.matched_label is not None
-        reps.append(
-            {
-                "d_element": str(image.d_element),
-                "lambda_element": str(image.lambda_element),
-                "cycle": image.cycle,
-                "label": image.matched_label,
-            }
-        )
+        reps.append(_image_entry(image))
     return [
         VerdictReport(
             claim=f"cor2.2:d={d}",
@@ -258,12 +223,11 @@ def _verify_cor22(args, ctx: _Ctx) -> list[VerdictReport]:
     ]
 
 
-def _verify_thm23(args, ctx: _Ctx) -> list[VerdictReport]:
+def _verify_thm23(args) -> list[VerdictReport]:
     from .glrep import coinvariant_classes
 
     t = args.t
-    d = _rank5_degree(t)
-    ctx.require_heavy(f"coinvariants of rank 5 in degree {d}")
+    d = generic_degree(5, t, 50)
     start = time.monotonic()
     report = coinvariant_classes(5, d)
     return [
@@ -279,11 +243,11 @@ def _verify_thm23(args, ctx: _Ctx) -> list[VerdictReport]:
     ]
 
 
-def _verify_cor24(args, ctx: _Ctx) -> list[VerdictReport]:
+def _verify_cor24(args) -> list[VerdictReport]:
     from .lambda_algebra import homology_dim
 
     t = args.t
-    d = _rank5_degree(t)
+    d = generic_degree(5, t, 50)
     start = time.monotonic()
     ext = homology_dim(5, d)
     ext_verdict = VerdictReport(
@@ -295,18 +259,24 @@ def _verify_cor24(args, ctx: _Ctx) -> list[VerdictReport]:
         passed=ext == 0,
         timing_ms=(time.monotonic() - start) * 1000,
     )
-    return [ext_verdict] + _verify_thm23(args, ctx)
+    return [ext_verdict] + _verify_thm23(args)
 
 
-def _cmd_verify(args, ctx: _Ctx) -> int:
+def _cmd_verify(args) -> int:
     drivers = {
         "thm21": _verify_thm21,
         "cor22": _verify_cor22,
         "thm23": _verify_thm23,
         "cor24": _verify_cor24,
     }
-    reports = drivers[args.claim](args, ctx)
-    print(emit_report(reports, ctx.fmt), end="")
+    if args.claim in ("thm23", "cor24") and not args.allow_heavy:
+        d = generic_degree(5, args.t, 50)
+        raise BudgetError(
+            f"coinvariants of rank 5 in degree {d} is a heavy computation; "
+            "rerun with --allow-heavy"
+        )
+    reports = drivers[args.claim](args)
+    print(emit_report(reports, args.fmt), end="")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -378,8 +348,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        ctx = _Ctx(args)
-        return args.func(args, ctx)
+        limit = HEAVY_BUDGET if args.allow_heavy else None
+        if args.budget_mb is not None:
+            limit = args.budget_mb << 20
+        budget.configure(limit)
+        store.configure(None if args.no_cache else store.cache_dir(args.cache_dir))
+        args.fmt = "json" if args.json else "csv" if args.csv else "text"
+        return args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

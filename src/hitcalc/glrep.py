@@ -20,7 +20,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import store
 from .gf2 import EchelonBasis, ones, quotient_representatives
-from .hit import cohit_basis
 from .homology import DElement, PrimitiveBasis, primitive_basis
 from .homology import _bits_element, _element_bits
 from .steenrod import Polynomial, _tuples, degree_index
@@ -283,6 +282,8 @@ def invariant_basis(n: int, d: int) -> list[Polynomial]:
     Each returned polynomial is a sum of cohit representative monomials; it
     is fixed by every generator modulo the hit subspace.
     """
+    from .hit import cohit_basis
+
     cohits = cohit_basis(n, d)
     reps = cohits.representatives
     q = len(reps)
@@ -290,13 +291,12 @@ def invariant_basis(n: int, d: int) -> list[Polynomial]:
         return []
     hit = cohits.hit
     index = degree_index(n, d)
-    tuples = list(index)
-    rep_pos = {m: i for i, m in enumerate(reps)}
+    rep_pos = {j: i for i, j in enumerate(quotient_representatives(hit))}
 
     def cohit_coords(bits: int) -> int:
         coords = 0
-        for i in ones(hit.reduce_int(bits)):
-            coords |= 1 << rep_pos[tuples[i]]
+        for j in ones(hit.reduce_int(bits)):
+            coords |= 1 << rep_pos[j]
         return coords
 
     relation_rows = EchelonBasis(q)

@@ -25,8 +25,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import store
 from .gf2 import EchelonBasis, ones
-from .hit import hit_echelon
-from .steenrod import Polynomial, _tuples, degree_index
+from .steenrod import Polynomial, _compositions, _tuples, degree_index
 from .terms import Term, TermSet
 
 __all__ = [
@@ -99,34 +98,7 @@ def _dual_moves(m: int) -> tuple[int, ...]:
 
 def dual_sq_targets(k: int, dexps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Exponent tuples of the terms of the degree-lowering dual square."""
-    n = len(dexps)
-    if k == 0:
-        yield dexps
-        return
-    suffix_cap = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + dexps[i] // 2
-    if k > suffix_cap[0]:
-        return
-    target = list(dexps)
-
-    def recurse(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if i == n - 1:
-            if rem <= dexps[i] // 2 and (rem & (dexps[i] - 2 * rem)) == 0:
-                target[i] = dexps[i] - rem
-                yield tuple(target)
-                target[i] = dexps[i]
-            return
-        for ki in _dual_moves(dexps[i]):
-            if ki > rem:
-                break
-            if rem - ki > suffix_cap[i + 1]:
-                continue
-            target[i] = dexps[i] - ki
-            yield from recurse(i + 1, rem - ki)
-        target[i] = dexps[i]
-
-    yield from recurse(0, k)
+    return _compositions(k, dexps, _dual_moves, -1)
 
 
 def dual_sq(k: int, xi: DElement) -> DElement:
@@ -182,6 +154,8 @@ def primitive_basis(n: int, d: int) -> PrimitiveBasis:
         raise ValueError("need n >= 1 and d >= 0")
 
     def compute() -> EchelonBasis:
+        from .hit import hit_echelon
+
         hit = store.peek("hit", n, d)
         if hit is None:
             hit = hit_echelon(n, d)

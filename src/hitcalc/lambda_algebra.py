@@ -370,15 +370,6 @@ def differential_echelon(s: int, w: int) -> EchelonBasis:
     return store.cached_differential_echelon(s, w, compute)
 
 
-def element_coordinates(e: LambdaElement, s: int, w: int) -> list[int]:
-    """Indices of e's words in the (s, w) enumeration; e must be normalized."""
-    index = {t: i for i, t in enumerate(bidegree_basis_tuples(s, w))}
-    try:
-        return [index[t] for t in e.terms]
-    except KeyError as exc:
-        raise ValueError("element is not in normal form for this bidegree") from exc
-
-
 def is_boundary(e: LambdaElement) -> bool:
     """Whether e is the differential of something one length lower."""
     nf = normal_form(e)
@@ -386,11 +377,9 @@ def is_boundary(e: LambdaElement) -> bool:
         return True
     s, w = nf.length, nf.weight
     assert s is not None and w is not None
-    b = boundary_echelon(s, w)
-    residue = 0
-    for i in element_coordinates(nf, s, w):
-        residue ^= 1 << i
-    return b.reduce_int(residue) == 0
+    index = {t: i for i, t in enumerate(bidegree_basis_tuples(s, w))}
+    residue = sum(1 << index[t] for t in nf.terms)
+    return boundary_echelon(s, w).reduce_int(residue) == 0
 
 
 def homology_dim(s: int, w: int) -> int:

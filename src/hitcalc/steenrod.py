@@ -16,7 +16,7 @@ here is the global coordinate system used by every bit row in the package.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .terms import Term, TermSet
 
@@ -158,37 +158,41 @@ def _odd_submasks(e: int) -> tuple[int, ...]:
     return tuple(subs)
 
 
-def sq_exponent_targets(k: int, exps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of the monomials in Sq^k(u^exps); no duplicates occur."""
+def _compositions(
+    k: int, exps: tuple[int, ...], moves: Callable[[int], tuple[int, ...]], sign: int
+) -> Iterator[tuple[int, ...]]:
+    """exps + sign * c over the compositions c of k with each c_i in moves(exps[i]).
+
+    moves(e) is ascending and starts at 0; the c are yielded in lex order.
+    """
     n = len(exps)
-    if k == 0:
-        yield exps
-        return
-    suffix_cap = [0] * (n + 1)
+    options = [moves(e) for e in exps]
+    suffix_cap = [0] * (n + 1)  # the largest sum of c_i, ..., c_(n-1)
     for i in range(n - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + exps[i]
+        suffix_cap[i] = suffix_cap[i + 1] + options[i][-1]
     if k > suffix_cap[0]:
         return
-
     target = list(exps)
 
     def recurse(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if i == n - 1:
-            if rem & ~exps[i] == 0:  # C(e_i, rem) odd
-                target[i] = exps[i] + rem
-                yield tuple(target)
-                target[i] = exps[i]
+        if i == n:
+            yield tuple(target)
             return
-        for ki in _odd_submasks(exps[i]):
+        for ki in options[i]:
             if ki > rem:
                 break
             if rem - ki > suffix_cap[i + 1]:
                 continue
-            target[i] = exps[i] + ki
+            target[i] = exps[i] + sign * ki
             yield from recurse(i + 1, rem - ki)
         target[i] = exps[i]
 
     yield from recurse(0, k)
+
+
+def sq_exponent_targets(k: int, exps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Exponent tuples of the monomials in Sq^k(u^exps); no duplicates occur."""
+    return _compositions(k, exps, _odd_submasks, 1)
 
 
 def sq_monomial(k: int, m: Monomial) -> Polynomial:

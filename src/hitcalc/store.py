@@ -210,31 +210,16 @@ def cache_store(entry: CacheEntry, directory: Path) -> Path:
     return path
 
 
-def _load_basis(
-    kind: str, n: int, d: int, m: int, directory: Path
-) -> EchelonBasis | None:
-    """The cached basis, or None on a miss or an entry of another m or not canonical.
-
-    The rows go into the basis as they are, checked but never re-eliminated.
-    """
-    entry = cache_load(kind, n, d, directory)
-    if entry is None:
-        return None
-    basis = EchelonBasis.from_canonical_rows(m, entry.rows) if entry.m == m else None
-    if basis is None:
-        path = directory / _filename(kind, n, d)
-        print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
-    return basis
-
-
 def _fetch_echelon(
     kind: str, n: int, d: int, m: int, compute: Callable[[], EchelonBasis]
 ) -> EchelonBasis:
     """The memoised basis of kind at (n, d) over m coordinates.
 
-    The first request loads it from the disk tier when that is on.  On a
-    miss there, or with the tier off, compute() runs, and a disk tier that
-    is on gets the result if its file fits the budget.
+    The first request loads it from the disk tier when that is on, putting
+    the rows into the basis as they are, checked but never re-eliminated; an
+    entry of another m or not in canonical form is a miss.  On a miss, or
+    with the tier off, compute() runs, and a disk tier that is on gets the
+    result if its file fits the budget.
     """
     key = (kind, n, d)
     basis = _memory.get(key)
@@ -242,7 +227,12 @@ def _fetch_echelon(
         return basis
     directory = _directory
     if directory is not None:
-        basis = _load_basis(kind, n, d, m, directory)
+        path = directory / _filename(kind, n, d)
+        entry = cache_load(kind, n, d, directory)
+        if entry is not None and entry.m == m:
+            basis = EchelonBasis.from_canonical_rows(m, entry.rows)
+        if entry is not None and basis is None:
+            print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
     if basis is None:
         basis = compute()
         if directory is not None:
@@ -250,7 +240,6 @@ def _fetch_echelon(
             if fits(size):
                 cache_store(CacheEntry(kind, n, d, m, basis.iter_row_ints()), directory)
             else:
-                path = directory / _filename(kind, n, d)
                 print(
                     f"warning: not caching {path}: its {size:,} bytes exceed the budget",
                     file=sys.stderr,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hitcalc import cli, lambda_algebra
+from hitcalc import homology, lambda_algebra
 from hitcalc.cli import main, thm21_expected
 from hitcalc.hit import cohit_dim
 from hitcalc.homology import DElement
@@ -132,6 +132,14 @@ class TestVerify:
         code, _, err = run("verify", "thm23", "-t", "0")
         assert code == 3 and "allow-heavy" in err
 
+    def test_cor24_refuses_before_any_work(self, run, monkeypatch):
+        def computed(*sw):
+            raise AssertionError("the Ext side ran before the heavy check")
+
+        monkeypatch.setattr(lambda_algebra, "homology_dim", computed)
+        code, _, err = run("--no-cache", "verify", "cor24", "-t", "0")
+        assert code == 3 and "allow-heavy" in err
+
     def test_csv_format(self, run):
         code, out, _ = run("--csv", "verify", "thm21", "-t", "1", "-s", "1", "-u", "1")
         assert code == 0
@@ -141,7 +149,8 @@ class TestVerify:
 
     def test_thm21_non_primitive_zeta_fails(self, run, monkeypatch):
         # Sq^8 of the dual of (23).(0).(0).(0) is nonzero
-        monkeypatch.setattr(cli, "_zeta_for", lambda *tsu: DElement([(23, 0, 0, 0)], 4))
+        non_primitive = DElement([(23, 0, 0, 0)], 4)
+        monkeypatch.setattr(homology, "zeta_element", lambda *fam_tsu: non_primitive)
         code, out, _ = run("verify", "thm21", "-t", "1", "-s", "2", "-u", "1")
         assert code == 1
         assert out.startswith("FAIL thm2.1:t=1,s=2,u=1") and "primitive=False" in out
@@ -292,10 +301,17 @@ def modules_loaded(tmp_path, *argv):
             (),
             ("json",),
         ),
+        (
+            ("verify", "cor22", "-t", "1", "-s", "2", "-u", "1"),
+            ("hitcalc.hit",),
+            ("hitcalc.glrep", "hitcalc.transfer"),
+        ),
     ],
-    ids=["import", "ext", "json-verify"],
+    ids=["import", "ext", "json-verify", "warm-cor22"],
 )
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, absent, present):
+    if argv and "--no-cache" not in argv:
+        modules_loaded(tmp_path, *argv)  # fills the cache: the run below is warm
     loaded = modules_loaded(tmp_path, *argv)
     assert not loaded & set(absent)
     assert set(present) <= loaded

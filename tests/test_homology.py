@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from hitcalc.steenrod import (
     degree_index,
     enumerate_monomials,
     sq,
+    sq_exponent_targets,
 )
 
 
@@ -102,6 +105,31 @@ class TestDualSq:
             )
             f = Polynomial(rng.sample(lower, min(3, len(lower))), n)
             assert pair(dual_sq(k, xi), f) == pair(xi, sq(k, f))
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_walkers_match_the_brute_force_compositions(self, n):
+        # independent of the walker both share: every composition c of k,
+        # kept when the Cartan binomials (or their transposes) are all odd,
+        # in the walker's lex order on c, so a repeat also fails
+        compositions = {
+            k: [c for c in itertools.product(range(k + 1), repeat=n) if sum(c) == k]
+            for k in range(11)
+        }
+        for e in itertools.product(range(8), repeat=n):
+            for k, comps in compositions.items():
+                up = [
+                    tuple(a + b for a, b in zip(e, c))
+                    for c in comps
+                    if all(math.comb(a, b) % 2 for a, b in zip(e, c))
+                ]
+                down = [
+                    tuple(a - b for a, b in zip(e, c))
+                    for c in comps
+                    if all(b <= a and math.comb(a - b, b) % 2 for a, b in zip(e, c))
+                ]
+                assert list(sq_exponent_targets(k, e)) == up, (k, e)
+                assert list(dual_sq_targets(k, e)) == down, (k, e)
 
 
 class TestPrimitives:
