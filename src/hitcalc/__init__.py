@@ -22,9 +22,8 @@ _EXPORTS = {
     " kameko_down_poly kameko_iso_applicable peterson_wood_zero reduce_degree_chain",
     "homology": "DElement DMonomial PrimitiveBasis dp_product dual_kameko_up dual_sq"
     " pair parse_delement parse_dmonomial primitive_basis zeta_element",
-    "lambda_algebra": "LambdaElement LambdaWord TerminationGuardError bidegree_basis"
-    " differential homology_dim is_boundary is_cycle normal_form parse_lambda_element"
-    " relation_element",
+    "lambda_algebra": "LambdaElement LambdaWord TerminationGuardError differential"
+    " homology_dim is_boundary normal_form parse_lambda_element",
     "steenrod": "Monomial Polynomial alpha enumerate_monomials"
     " generic_degree mu parse_monomial parse_polynomial sq sq_monomial",
     "transfer": "TransferImage TransferReport class_equal label_dictionary psi"

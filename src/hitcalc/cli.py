@@ -269,12 +269,15 @@ def _cmd_verify(args) -> int:
         "thm23": _verify_thm23,
         "cor24": _verify_cor24,
     }
-    if args.claim in ("thm23", "cor24") and not args.allow_heavy:
-        d = generic_degree(5, args.t, 50)
-        raise BudgetError(
-            f"coinvariants of rank 5 in degree {d} is a heavy computation; "
-            "rerun with --allow-heavy"
-        )
+    if args.claim in ("thm23", "cor24"):
+        if args.t < 0:
+            raise ValueError("the degree 5(2^t - 1) + 50*2^t needs t >= 0")
+        if not args.allow_heavy:
+            d = generic_degree(5, args.t, 50)
+            raise BudgetError(
+                f"coinvariants of rank 5 in degree {d} is a heavy computation; "
+                "rerun with --allow-heavy"
+            )
     reports = drivers[args.claim](args)
     print(emit_report(reports, args.fmt), end="")
     return 0 if all(r.passed for r in reports) else 1

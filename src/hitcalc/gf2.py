@@ -19,9 +19,9 @@ above the pivot, not by its highest coordinate.  On the quasi-triangular
 matrices of the hit problem that makes the stored rows 3-8x smaller (the
 forward rows of the hit space (5, 25) take 5.1 MiB instead of 38.8 MiB);
 the canonical rows of the transposed lambda differential out of (5, 38)
-shrink less, 11.4 to 4.4 MiB.  The row
-being reduced stays an absolute int, and every row handed out is shifted
-back first.
+shrink less, 11.4 to 4.4 MiB.  The row being reduced is shifted down to its
+own lowest bit, below which no reduction step can set one, and every row
+handed out is shifted back first.
 
 Insertion order sets the cost of both steps.  :meth:`EchelonBasis.extend`
 inserts a batch of sparse rows in descending order of their lowest
@@ -152,13 +152,20 @@ class EchelonBasis:
     def _reduce(self, bits: int) -> int:
         # Each stored row's lowest bit is its pivot, so clearing the lowest
         # pivot coordinate still set never sets a lower one: the loop ends.
-        rows, mask = self._rows, self._pivot_mask
+        # So no bit below the row's lowest is ever set, and the loop works
+        # on the row and the pivot mask shifted down to it: every int it
+        # builds is sized by the span above that bit, not by the highest.
+        if not bits:
+            return 0
+        low = (bits & -bits).bit_length() - 1
+        rows, mask = self._rows, self._pivot_mask >> low
+        bits >>= low
         hits = bits & mask
         while hits:
-            p = (hits & -hits).bit_length() - 1
-            bits ^= rows[p] << p
+            q = (hits & -hits).bit_length() - 1
+            bits ^= rows[q + low] << q
             hits = bits & mask
-        return bits
+        return bits << low
 
     def _insert(self, bits: int) -> bool:
         bits = self._reduce(bits)

@@ -23,13 +23,24 @@ rewriting, which bounds the recursion and makes normal forms terminate.
 
 The generator differential is d(lambda_n) = sum_j C(n-j, j)
 lambda_{j-1} lambda_{n-j}, extended by the Leibniz rule and normalized.
+
+Rewriting is positional.  A word waits with the range of its pairs that
+may be bad; the scan rewrites the leftmost bad pair i, and since the new
+pair is reduced and only its two junctions changed, it resumes at pair
+i - 1, not at the start of the word.  The differential of a reduced word
+needs little of it.  Its Leibniz term that puts lambda_{j-1} lambda_{n-j}
+in place of w[r] = n can be bad only at its left junction: the new pair is
+reduced, as C(n-j, j) odd forces j <= n-j, and so is the right junction,
+as n - j < n <= 2 w[r+1].  So the term is a normal-form word unless
+w[r-1] > 2(j-1), and only such terms are rewritten, from that pair on.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import store
@@ -42,12 +53,9 @@ __all__ = [
     "LambdaElement",
     "TerminationGuardError",
     "binom2",
-    "relation_element",
     "normal_form",
     "differential",
-    "bidegree_basis",
     "homology_dim",
-    "is_cycle",
     "is_boundary",
     "parse_lambda_element",
 ]
@@ -137,26 +145,6 @@ def parse_lambda_element(text: str) -> LambdaElement:
 # -- the quadratic relations and rewriting --------------------------------------
 
 
-def relation_element(s: int, k: int) -> LambdaElement:
-    """The mod-2 sum lambda_s lambda_k + sum_j C(j-k-1, 2j-s) lambda_{s+k-j} lambda_j.
-
-    Terms containing index -1 are dropped and coinciding words cancel.  The
-    result is always a relation (its normal form is zero); it is empty when
-    the pair (s, k) is already reduced and the sum reproduces the word.
-    """
-    if s < -1 or k < -1:
-        raise ValueError("relation indices must be >= -1")
-    words: list[tuple[int, ...]] = []
-    if s >= 0 and k >= 0:
-        words.append((s, k))
-    for j in range(-1, s + k + 2):
-        if binom2(j - k - 1, 2 * j - s):
-            a = s + k - j
-            if a >= 0 and j >= 0:
-                words.append((a, j))
-    return LambdaElement(words)
-
-
 @functools.lru_cache(maxsize=None)
 def _pair_nf(s: int, k: int) -> frozenset[tuple[int, int]]:
     """Normal form of the two-factor word lambda_s lambda_k."""
@@ -172,31 +160,27 @@ def _pair_nf(s: int, k: int) -> frozenset[tuple[int, int]]:
     return frozenset(acc)
 
 
-def _first_bad_pair(word: tuple[int, ...], leftmost: bool) -> int | None:
-    rng: Iterable[int] = range(len(word) - 1)
-    if not leftmost:
-        rng = reversed(range(len(word) - 1))
-    for i in rng:
-        if word[i] > 2 * word[i + 1]:
-            return i
-    return None
-
-
-def _normalize_words(
-    words: Iterable[tuple[int, ...]],
-    leftmost: bool = True,
+def _settle(
+    reduced: list[tuple[int, ...]],
+    pending: list[tuple[tuple[int, ...], int, int]],
     step_budget: int = NORMAL_FORM_STEP_BUDGET,
 ) -> frozenset[tuple[int, ...]]:
-    pending: set[tuple[int, ...]] = set()
-    for w in words:
-        pending.symmetric_difference_update((w,))
-    out: set[tuple[int, ...]] = set()
+    """The words of odd multiplicity in ``reduced`` once every pending word
+    is rewritten into it.
+
+    A pending (word, lo, hi) has every pair outside lo..hi reduced.  Once
+    its leftmost bad pair i is rewritten, only pairs i - 1 and i + 1 may
+    have turned bad, so each new word waits as (word, i - 1, max(hi, i + 1)),
+    clipped to the word's pairs.  Equal words cancel only at the end.
+    """
+    pop, push, emit = pending.pop, pending.append, reduced.append
     steps = 0
     while pending:
-        w = pending.pop()
-        i = _first_bad_pair(w, leftmost)
-        if i is None:
-            out.symmetric_difference_update((w,))
+        w, i, hi = pop()
+        while i <= hi and w[i] <= 2 * w[i + 1]:
+            i += 1
+        if i > hi:
+            emit(w)
             continue
         steps += 1
         if steps > step_budget:
@@ -204,22 +188,29 @@ def _normalize_words(
                 f"normal form exceeded {step_budget} rewriting steps"
             )
         head, tail = w[:i], w[i + 2 :]
-        for a, b in _pair_nf(w[i], w[i + 1]):
-            pending.symmetric_difference_update((head + (a, b) + tail,))
-    return frozenset(out)
+        lo = i - 1 if i else 0
+        if hi <= i:
+            hi = i + 1 if tail else i
+        for pair in _pair_nf(w[i], w[i + 1]):
+            push((head + pair + tail, lo, hi))
+    out = frozenset(reduced)
+    if len(out) == len(reduced):
+        return out
+    return frozenset(w for w, c in Counter(reduced).items() if c & 1)
 
 
 def normal_form(
     e: LambdaElement,
-    leftmost: bool = True,
     step_budget: int = NORMAL_FORM_STEP_BUDGET,
 ) -> LambdaElement:
     """Rewrite until no adjacent pair (a, b) with a > 2b remains.
 
-    Idempotent; the result is independent of the rewriting strategy
-    (exercised by the test suite rather than assumed).
+    Idempotent; the result does not depend on which bad pair is rewritten
+    first (the test suite checks this against whole-word rewriting from
+    the left and from the right).
     """
-    return LambdaElement(_normalize_words(e.terms, leftmost, step_budget))
+    pending = [(w, 0, len(w) - 2) for w in e.terms]
+    return LambdaElement(_settle([], pending, step_budget))
 
 
 # -- the differential ------------------------------------------------------------
@@ -234,22 +225,37 @@ def _d_generator(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _differential_words(words: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    """Normalized words of the differential of a sum of words with indices >= 0."""
-    return _normalize_words(
-        w[:r] + pair + w[r + 1 :]
-        for w in words
-        for r, idx in enumerate(w)
-        for pair in _d_generator(idx)
-    )
+    """Normalized words of the differential of a sum of words with indices >= 0.
+
+    A Leibniz term of a reduced word is rewritten only from its left
+    junction, and only when that pair is bad (see the module docstring);
+    the terms of a word that is not reduced are scanned whole.
+    """
+    reduced: list[tuple[int, ...]] = []
+    pending: list[tuple[tuple[int, ...], int, int]] = []
+    emit, push = reduced.append, pending.append
+    for u in words:
+        if any(a > 2 * b for a, b in zip(u, u[1:])):
+            pending.extend(
+                (u[:r] + pair + u[r + 1 :], 0, len(u) - 1)
+                for r, n in enumerate(u)
+                for pair in _d_generator(n)
+            )
+            continue
+        for r, n in enumerate(u):
+            head, tail = u[:r], u[r + 1 :]
+            left = u[r - 1] if r else -1
+            for pair in _d_generator(n):
+                if left > 2 * pair[0]:
+                    push((head + pair + tail, r - 1, r - 1))
+                else:
+                    emit(head + pair + tail)
+    return _settle(reduced, pending)
 
 
 def differential(e: LambdaElement) -> LambdaElement:
     """Leibniz extension of the generator differential, fully normalized."""
     return LambdaElement(_differential_words(e.terms))
-
-
-def is_cycle(e: LambdaElement) -> bool:
-    return differential(e).is_zero()
 
 
 # -- bidegree bases and homology -------------------------------------------------
@@ -296,13 +302,6 @@ def bidegree_basis_tuples(s: int, w: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(_enumerate_words(s, w, None)))
 
 
-def bidegree_basis(s: int, w: int) -> list[LambdaWord]:
-    """All reduced words of the given length and weight, ascending lex."""
-    if s < 0 or w < 0:
-        raise ValueError("length and weight must be non-negative")
-    return [LambdaWord(t) for t in bidegree_basis_tuples(s, w)]
-
-
 def boundary_echelon(s: int, w: int) -> EchelonBasis:
     """Echelon basis of the boundary subspace inside bidegree (s, w).
 
@@ -328,6 +327,11 @@ def differential_echelon(s: int, w: int) -> EchelonBasis:
     differential holds it.  Same rank as ``boundary_echelon(s + 1, w - 1)``,
     but over the (s, w) words, typically several times fewer.
 
+    Each source's differential is its Leibniz terms, of which only those
+    with a bad left junction, w[r-1] > 2(j-1), are rewritten: the replaced
+    pair and its right junction are reduced already (see the module
+    docstring).
+
     The rows are streamed through the first-index filtration, since d never
     raises a word's first index: a Leibniz term lambda_{j-1} lambda_{n-j}
     of the first generator lowers it, and rewriting a leading pair (a, b)
@@ -335,8 +339,10 @@ def differential_echelon(s: int, w: int) -> EchelonBasis:
     The sources are walked in descending lex order, one first-index group
     at a time; once the group of first index a is done, no source left can
     reach a target of first index a or more, so those rows are complete
-    and are inserted and freed.  Every target is checked against its
-    source's first index, and a target above it raises ``RuntimeError``.
+    and are inserted and freed.  A row lists its sources in descending
+    order, so its last is its lowest: the row int is built shifted down to
+    it and shifted up once.  Every target is checked against its source's
+    first index, and a target above it raises ``RuntimeError``.
     """
 
     def compute() -> EchelonBasis:
@@ -352,7 +358,17 @@ def differential_echelon(s: int, w: int) -> EchelonBasis:
 
         def flush(bound: int) -> None:
             done = [f for f in open_rows if f >= bound]
-            basis.extend(row for f in done for row in open_rows.pop(f).values())
+            rows = [row for f in done for row in open_rows.pop(f).values()]
+            # each row lists its sources descending, so row[-1] is its lowest;
+            # rows go in by descending lowest source, as ``extend`` orders them
+            # (``insert`` is ``insert_int``, by the name the tracer counts)
+            rows.sort(key=itemgetter(-1), reverse=True)
+            for row in rows:
+                low = row[-1]
+                bits = 0
+                for k in row:
+                    bits |= 1 << (k - low)
+                basis.insert(bits << low)
 
         i = len(sources)
         # the empty word (s = 0) has no first index, but reaches no target

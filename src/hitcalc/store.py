@@ -42,7 +42,6 @@ from __future__ import annotations
 import os
 import struct
 import sys
-import tempfile
 import zlib
 from collections.abc import Sequence
 from pathlib import Path
@@ -197,6 +196,8 @@ def cache_load(kind: str, n: int, d: int, directory: Path) -> CacheEntry | None:
 
 
 def cache_store(entry: CacheEntry, directory: Path) -> Path:
+    import tempfile  # only a cache write needs it
+
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / _filename(entry.kind, entry.n, entry.d)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -132,6 +132,15 @@ class TestVerify:
         code, _, err = run("verify", "thm23", "-t", "0")
         assert code == 3 and "allow-heavy" in err
 
+    @pytest.mark.parametrize("claim", ["thm23", "cor24"])
+    def test_rank5_claims_need_t_at_least_zero(self, run, claim):
+        for heavy in ((), ("--allow-heavy",)):
+            assert run(*heavy, "--no-cache", "verify", claim, "-t", "-1") == (
+                2,
+                "",
+                "invalid input: the degree 5(2^t - 1) + 50*2^t needs t >= 0\n",
+            )
+
     def test_cor24_refuses_before_any_work(self, run, monkeypatch):
         def computed(*sw):
             raise AssertionError("the Ext side ran before the heavy check")
@@ -236,6 +245,16 @@ def test_cli_import_leaves_numpy_unloaded():
     probe = "import sys, hitcalc.cli; print('numpy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_tempfile_unloaded():
+    # with -S no site module imports it first; only a cache write needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import sys, hitcalc.cli; print('tempfile' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
 

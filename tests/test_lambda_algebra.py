@@ -9,7 +9,8 @@ from hitcalc.lambda_algebra import (
     MAX_WORDS_PER_BIDEGREE,
     LambdaElement,
     LambdaWord,
-    bidegree_basis,
+    TerminationGuardError,
+    _d_generator,
     bidegree_basis_tuples,
     bidegree_count,
     binom2,
@@ -18,15 +19,29 @@ from hitcalc.lambda_algebra import (
     differential_echelon,
     homology_dim,
     is_boundary,
-    is_cycle,
     normal_form,
     parse_lambda_element,
-    relation_element,
 )
+from lambda_oracle import oracle_differential, oracle_normal_form, relation_element
 
 
 def elem(*indices):
     return LambdaElement.from_word(*indices)
+
+
+def bidegree_basis(s, w):
+    """All reduced words of the given length and weight, ascending lex."""
+    return [LambdaWord(t) for t in bidegree_basis_tuples(s, w)]
+
+
+def bad_pairs(word):
+    return [i for i in range(len(word) - 1) if word[i] > 2 * word[i + 1]]
+
+
+def reduced_words(max_length, max_weight):
+    for s in range(1, max_length + 1):
+        for w in range(max_weight + 1):
+            yield from bidegree_basis_tuples(s, w)
 
 
 class TestBinom2:
@@ -91,6 +106,7 @@ class TestNormalForm:
             assert (nf.length, nf.weight) == (3, 12)
 
     def test_confluence_leftmost_vs_rightmost(self):
+        # the positional rewriting against whole-word rewriting both ways
         rng = random.Random(91)
         for _ in range(1000):
             length = rng.randrange(2, 5)
@@ -98,14 +114,26 @@ class TestNormalForm:
             if sum(word) > 40:
                 continue
             e = LambdaElement((word,))
-            assert normal_form(e, leftmost=True) == normal_form(e, leftmost=False)
+            nf = normal_form(e)
+            assert nf == oracle_normal_form(e, leftmost=True), word
+            assert nf == oracle_normal_form(e, leftmost=False), word
+
+    def test_sums_cancel_after_rewriting(self):
+        # (2, 0) rewrites to (1, 1) and (3, 1) to zero
+        assert normal_form(LambdaElement(((2, 0), (1, 1)))).is_zero()
+        assert normal_form(LambdaElement(((3, 1), (2, 2)))) == elem(2, 2)
+        # sums of words that meet only once rewritten
+        rng = random.Random(17)
+        for _ in range(200):
+            weight = rng.randrange(6, 19)
+            heads = [(rng.randrange(0, 13), rng.randrange(0, 7)) for _ in range(6)]
+            e = LambdaElement((a, b, weight - a - b) for a, b in heads if a + b <= weight)
+            assert normal_form(e) == oracle_normal_form(e), e
 
     def test_minus_one_kills_word(self):
         assert elem(3, -1, 2).is_zero()
 
     def test_step_budget_guard(self):
-        from hitcalc.lambda_algebra import TerminationGuardError
-
         with pytest.raises(TerminationGuardError):
             normal_form(elem(40, 0, 0, 0), step_budget=2)
 
@@ -147,6 +175,28 @@ class TestDifferential:
     def test_raises_length_lowers_weight(self):
         d = differential(elem(4, 2))
         assert (d.length, d.weight) == (3, 5)
+
+    def test_leibniz_terms_are_bad_only_left_of_the_replaced_generator(self):
+        for word in reduced_words(5, 30):
+            for r, n in enumerate(word):
+                for pair in _d_generator(n):
+                    term = word[:r] + pair + word[r + 1 :]
+                    assert bad_pairs(term) in ([], [r - 1]), (word, r, pair)
+
+    def test_reduced_words_match_whole_word_rewriting(self):
+        for word in reduced_words(5, 30):
+            e = LambdaElement((word,))
+            d = differential(e)
+            assert d == oracle_differential(e, leftmost=True), word
+            assert d == oracle_differential(e, leftmost=False), word
+
+    def test_any_words_match_whole_word_rewriting(self):
+        # words that are not reduced are scanned whole
+        rng = random.Random(3)
+        for _ in range(300):
+            word = tuple(rng.randrange(0, 21) for _ in range(rng.randrange(1, 5)))
+            e = LambdaElement((word,))
+            assert differential(e) == oracle_differential(e), word
 
     def test_h_products_are_cycles(self):
         rng = random.Random(13)
@@ -211,7 +261,7 @@ class TestHomology:
         assert homology_dim(2, 3) == 1  # h_0 h_2
 
     def test_is_cycle_displayed_word(self):
-        assert is_cycle(elem(15, 3, 3, 2))
+        assert differential(elem(15, 3, 3, 2)).is_zero()
 
     def test_boundary_solver(self):
         # d(lambda_2) = lambda_0 lambda_1 is a boundary; h_1^2 is not
