@@ -19,7 +19,7 @@ _EXPORTS = {
     "glrep": "CoinvariantReport GLMatrix act_homology act_poly coinvariant_class_nonzero"
     " coinvariant_classes generators group_closure invariant_basis parse_glmatrix",
     "hit": "CohitBasis cohit_basis cohit_dim hit_basis kameko_down"
-    " kameko_down_poly kameko_iso_applicable peterson_wood_zero reduce_degree_chain",
+    " kameko_iso_applicable peterson_wood_zero reduce_degree_chain",
     "homology": "DElement DMonomial PrimitiveBasis dp_product dual_kameko_up dual_sq"
     " pair parse_delement parse_dmonomial primitive_basis zeta_element",
     "lambda_algebra": "LambdaElement LambdaWord TerminationGuardError differential"

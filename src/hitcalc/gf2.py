@@ -68,7 +68,8 @@ class EchelonBasis:
     budget (``hitcalc.budget``) is charged, with no up-front estimate: a
     refusal comes once the ``getsizeof`` total of the shifted row ints held
     crosses it, checked per insert, after the canonical form rewrites (and
-    may grow) the rows, and once for a basis built by ``from_canonical_rows``.
+    may grow) the rows, and once for a basis built by ``from_canonical_rows``
+    or ``from_shifted_rows``.
     """
 
     def __init__(self, ambient_length: int):
@@ -90,11 +91,9 @@ class EchelonBasis:
         another row's pivot.
 
         One pass from the last row down checks all three with no elimination:
-        a row can only hold the pivots of the rows after it.  The budget is
-        charged once, for the shifted rows.
+        a row can only hold the pivots of the rows after it.
         """
-        out = cls(ambient_length)
-        shifted = out._rows
+        shifted: dict[int, int] = {}
         mask = 0  # the pivots of the rows after the current one
         for row in reversed(rows):
             if row <= 0 or row >> ambient_length:
@@ -106,8 +105,24 @@ class EchelonBasis:
             p = low.bit_length() - 1
             shifted[p] = row >> p
             mask |= low
-        out._pivot_mask = mask
-        out._bytes = sum(map(getsizeof, shifted.values()))
+        return cls.from_shifted_rows(ambient_length, shifted)
+
+    @classmethod
+    def from_shifted_rows(
+        cls, ambient_length: int, rows: dict[int, int]
+    ) -> "EchelonBasis":
+        """The basis holding rows, pivot p -> row >> p, as its canonical form.
+
+        Nothing is checked: the caller has rows that are canonical.  The
+        budget is charged once, for the shifted rows.
+        """
+        out = cls(ambient_length)
+        mask = bytearray(ambient_length // 8 + 1)
+        for p in rows:
+            mask[p >> 3] |= 1 << (p & 7)
+        out._rows = rows
+        out._pivot_mask = int.from_bytes(mask, "little")
+        out._bytes = sum(map(getsizeof, rows.values()))
         check_bytes(out._bytes)
         return out
 

@@ -282,14 +282,13 @@ def invariant_basis(n: int, d: int) -> list[Polynomial]:
     Each returned polynomial is a sum of cohit representative monomials; it
     is fixed by every generator modulo the hit subspace.
     """
-    from .hit import cohit_basis
+    from .hit import cohit_basis, hit_basis
 
-    cohits = cohit_basis(n, d)
-    reps = cohits.representatives
+    reps = cohit_basis(n, d).representatives
     q = len(reps)
     if q == 0:
         return []
-    hit = cohits.hit
+    hit = hit_basis(n, d)
     index = degree_index(n, d)
     rep_pos = {j: i for i, j in enumerate(quotient_representatives(hit))}
 

@@ -6,26 +6,44 @@ generate all of them under composition, the span of Sq^(2^i)(P^(d-2^i))
 over 2^(i+1) <= d equals the full hit space; the test suite checks this
 against the all-k span on small instances rather than assuming it.
 
-Cohit representatives are the non-pivot monomials of the canonical echelon
-form under the global ascending-lex enumeration, so results are identical
-across runs.
+Sq^k never changes which variables a monomial contains: the terms of
+Sq^k(u^e) are u^(e+c) with each c_i a submask of e_i, so c_i = 0 where
+e_i = 0.  So P_n(d) is the direct sum over the supports S of the spans of
+the monomials whose nonzero exponents sit exactly at S, the hit space
+splits the same way, and QP_n(d) is the sum of C(n, k) copies of
+QP^+_k(d) (Kameko, thesis, Johns Hopkins 1990; Sum, On the Peterson hit
+problem, Adv. Math. 274, 2015).  Here P^+_k(d) is the full-support block,
+the degree-d monomials in k variables with every exponent >= 1; its lex
+order is that of P_k(d - k) under e -> e - 1.
+
+Each block P^+_k(d), k <= n, is eliminated once and memoised (``store``),
+and its rows are relabelled into each of the C(n, k) supports by the
+order-preserving map of variables, which keeps ascending lex order.  The
+canonical echelon form of a span over disjoint coordinates is the union of
+its blocks' canonical forms, and its kernel splits the same way, so the
+relabelled hit rows and kernel rows are exactly those of one elimination
+of all of P_n(d), which the test suite keeps as its oracle.  Cohit
+representatives are the non-pivot monomials of that canonical form under
+the global ascending-lex enumeration, so results are identical across
+runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
-from typing import Iterator, NamedTuple
+import math
+from typing import Callable, Iterator, NamedTuple
 
 from . import store
-from .gf2 import EchelonBasis, quotient_representatives
+from .gf2 import EchelonBasis, ones, quotient_representatives
 from .steenrod import (
     Monomial,
-    Polynomial,
     _odd_submasks,
-    _tuples,
     alpha,
+    full_support_count,
     monomial_count,
     mu,
 )
@@ -33,12 +51,11 @@ from .steenrod import (
 __all__ = [
     "CohitBasis",
     "hit_basis",
-    "hit_echelon",
+    "hit_kernel",
     "cohit_dim",
     "cohit_basis",
     "peterson_wood_zero",
     "kameko_down",
-    "kameko_down_poly",
     "kameko_iso_applicable",
     "reduce_degree_chain",
 ]
@@ -48,7 +65,6 @@ class CohitBasis(NamedTuple):
     n: int
     d: int
     representatives: tuple[Monomial, ...]
-    hit: EchelonBasis  # the canonical hit space
 
     @property
     def dimension(self) -> int:
@@ -69,12 +85,14 @@ def _block_starts(n: int, d: int) -> tuple[int, ...]:
 
 
 def _generator_rows(n: int, d: int) -> Iterator[int]:
-    """The nonzero rows Sq^(2^i)(u^e) of the degree-d hit space, as ints.
+    """The nonzero rows Sq^(2^i)(u^e) of the full-support block P^+_n(d), as ints.
 
-    Bit j is the j-th degree-d monomial in lex order.  Sq^k(u^((a,) + w)) is
-    the sum over submasks k1 of a of u^(a + k1) Sq^(k - k1)(u^w) (Cartan),
-    and the monomials with first exponent a + k1 are one block of the
-    enumeration, so ``walk`` fixes exponents from the left carrying each
+    Bit j is the j-th monomial of P^+_n(d) in lex order, and the sources
+    u^e run over P^+_n(d - 2^i).  Sq^k(u^((a,) + w)) is the sum over
+    submasks k1 of a of u^(a + k1) Sq^(k - k1)(u^w) (Cartan), and the
+    monomials of P^+_nv(D) with first exponent x >= 1 are one block of its
+    enumeration, starting where P_nv(D - nv)'s block of x - 1 does; so
+    ``walk`` fixes exponents from the left, each at least 1, carrying each
     term's remaining square and block offset.  Rows in the last two
     variables are memoised for this call only.  The sources of each k are
     walked in descending lex order, and the streams of all k are merged on
@@ -89,14 +107,14 @@ def _generator_rows(n: int, d: int) -> Iterator[int]:
     def walk(nv: int, deg: int, terms: list[tuple[int, int]]) -> Iterator[int]:
         # each source yields the OR over terms (k, shift) of Sq^k(source) << shift
         if nv == 2:
-            for b in range(deg, -1, -1):
+            for b in range(deg - 1, 0, -1):
                 row = 0
                 for k, shift in terms:
                     key = (k, b, deg - b)
                     r = pair_rows.get(key)
                     if r is None:  # C(b, k1) C(deg - b, k - k1) odd
                         r = pair_rows[key] = sum(
-                            1 << (b + k1)
+                            1 << (b + k1 - 1)
                             for k1 in _odd_submasks(b)
                             if k1 <= k and (k - k1) & ~(deg - b) == 0
                         )
@@ -105,16 +123,16 @@ def _generator_rows(n: int, d: int) -> Iterator[int]:
                 if row:
                     yield row
             return
-        for a in range(deg, -1, -1):
+        for a in range(deg - nv + 1, 0, -1):  # each later exponent is >= 1
             rest = deg - a
             sub = []
             for k, shift in terms:
-                starts = _block_starts(nv, deg + k)
+                starts = _block_starts(nv, deg + k - nv)
                 for k1 in _odd_submasks(a):
                     if k1 > k:
                         break
                     if k - k1 <= rest:
-                        sub.append((k - k1, shift + starts[a + k1]))
+                        sub.append((k - k1, shift + starts[a + k1 - 1]))
             if sub:
                 yield from walk(nv - 1, rest, sub)
 
@@ -123,36 +141,160 @@ def _generator_rows(n: int, d: int) -> Iterator[int]:
         key=lambda row: row & -row,
         reverse=True,
     )
+    # walk refers to itself, so this frees the memo now, not at the next
+    # cyclic collection
+    pair_rows.clear()
 
 
-def hit_echelon(n: int, d: int) -> EchelonBasis:
-    """Echelon basis of the hit subspace of degree d in n variables, not memoised.
+def _block_echelon(k: int, d: int) -> EchelonBasis:
+    """Echelon basis of the hit space of the block P^+_k(d), not memoised.
 
     The generator rows go into the elimination as they are produced.
     """
-    basis = EchelonBasis(monomial_count(n, d))
-    for row in _generator_rows(n, d):
+    basis = EchelonBasis(full_support_count(k, d))
+    for row in _generator_rows(k, d):
         basis.insert_int(row)
     return basis
 
 
-def hit_basis(n: int, d: int) -> EchelonBasis:
-    """Canonical echelon basis of the hit subspace of degree d in n variables."""
+def _block(k: int, d: int) -> EchelonBasis:
+    """The memoised hit echelon of the block P^+_k(d)."""
+    return store.cached_hit_basis(k, d, lambda: _block_echelon(k, d))
+
+
+def _check(n: int, d: int) -> None:
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    return store.cached_hit_basis(n, d, lambda: hit_echelon(n, d))
+
+
+def _support_sizes(n: int, d: int) -> range:
+    """The k of the blocks P^+_k(d) that make up P_n(d)."""
+    return range(1, min(n, d) + 1) if d else range(1)  # degree 0: the unit
+
+
+def _unrank(n: int, d: int, j: int) -> list[int]:
+    """The exponents of the j-th monomial of P_n(d) in lex order."""
+    m = []
+    for i in range(n - 1):
+        starts = _block_starts(n - i, d)
+        a = bisect.bisect_right(starts, j) - 1
+        m.append(a)
+        j -= starts[a]
+        d -= a
+    return m + [d] if n else m
+
+
+def _place(n: int, support: tuple[int, ...], lowered: list[int]) -> Monomial:
+    """The monomial on support whose exponents there are lowered + 1, the
+    member of P^+_k(d) that a monomial of P_k(d - k) stands for."""
+    m = [0] * n
+    for p, e in zip(support, lowered):
+        m[p] = e + 1
+    return Monomial(m)
+
+
+def _embedding(n: int, d: int, support: tuple[int, ...]) -> list[int]:
+    """The index in P_n(d) of each monomial of P^+_k(d) placed on support.
+
+    A monomial's index is the sum over its variables i < n - 1 of the start
+    of its exponent's block among the monomials in u_i, ..., u_n
+    (``_block_starts``); a variable off the support starts block 0, at 0.
+    The walk is in lex order, so the indices ascend.
+    """
+    out: list[int] = []
+    if support:
+        _embed(out, n, support, 0, d, 0)
+    else:
+        out.append(0)
+    return out
+
+
+def _embed(
+    out: list[int], n: int, support: tuple[int, ...], j: int, rest: int, offset: int
+) -> None:
+    # the exponents before support[j] are fixed, their blocks start at offset
+    # and rest is the degree left for support[j:]
+    p = support[j]
+    starts = _block_starts(n - p, rest)
+    if j == len(support) - 1:  # u_p takes the rest, every later variable 0
+        out.append(offset + starts[rest] if p < n - 1 else offset)
+        return
+    for a in range(1, rest - len(support) + j + 2):  # each later exponent >= 1
+        _embed(out, n, support, j + 1, rest - a, offset + starts[a])
+
+
+def _relabel(n: int, d: int, block_of: Callable[[int], EchelonBasis]) -> EchelonBasis:
+    """The basis over P_n(d) whose rows are the canonical rows of
+    block_of(k), a basis over P^+_k(d), placed on each support of size k.
+
+    Placing keeps the order of coordinates, so a row's pivot stays its
+    lowest bit, and rows on disjoint supports share no coordinate: the
+    union is canonical.
+    """
+    rows: dict[int, int] = {}
+    for k in _support_sizes(n, d):
+        block = block_of(k)
+        if not block.rank:
+            continue
+        for support in itertools.combinations(range(n), k):
+            index = _embedding(n, d, support)
+            for row in block.iter_row_ints():
+                coords = [index[i] for i in ones(row)]
+                p = coords[0]
+                rows[p] = sum(1 << (c - p) for c in coords)
+    return EchelonBasis.from_shifted_rows(monomial_count(n, d), rows)
+
+
+def hit_basis(n: int, d: int) -> EchelonBasis:
+    """Canonical echelon basis of the hit subspace of degree d in n variables.
+
+    It is relabelled from the memoised blocks on each call.
+    """
+    _check(n, d)
+    return _relabel(n, d, lambda k: _block(k, d))
+
+
+def hit_kernel(n: int, d: int) -> EchelonBasis:
+    """The kernel of the canonical hit rows of degree d in n variables.
+
+    It is each block's kernel, relabelled.  A block the memory tier holds is
+    reused; the others are eliminated and dropped, never memoised or written.
+    """
+
+    def kernel_of(k: int) -> EchelonBasis:
+        block = store.peek("hit-plus", k, d)
+        if block is None:
+            block = _block_echelon(k, d)
+        return block.kernel()
+
+    return _relabel(n, d, kernel_of)
 
 
 def cohit_basis(n: int, d: int) -> CohitBasis:
-    """Monomial representatives of a basis of the degree-d cohit quotient."""
-    hit = hit_basis(n, d)
-    tuples = _tuples(n, d)
-    reps = tuple(Monomial(tuples[i]) for i in quotient_representatives(hit))
-    return CohitBasis(n, d, reps, hit)
+    """Monomial representatives of a basis of the degree-d cohit quotient.
+
+    They are each block's non-pivot monomials placed on every support, in
+    ascending lex order.
+    """
+    _check(n, d)
+    reps = []
+    for k in _support_sizes(n, d):
+        for f in quotient_representatives(_block(k, d)):
+            lowered = _unrank(k, d - k, f)
+            for support in itertools.combinations(range(n), k):
+                reps.append(_place(n, support, lowered))
+    reps.sort()
+    return CohitBasis(n, d, tuple(reps))
 
 
 def cohit_dim(n: int, d: int) -> int:
-    return monomial_count(n, d) - hit_basis(n, d).rank
+    """The sum over k of C(n, k) dim QP^+_k(d)."""
+    _check(n, d)
+    dim = 0
+    for k in _support_sizes(n, d):
+        block = _block(k, d)
+        dim += math.comb(n, k) * (block.ambient_length - block.rank)
+    return dim
 
 
 def peterson_wood_zero(n: int, d: int) -> bool:
@@ -177,11 +319,6 @@ def kameko_down(n: int, m: Monomial) -> Monomial | None:
     if any(e % 2 == 0 for e in m):
         return None
     return Monomial((e - 1) // 2 for e in m)
-
-
-def kameko_down_poly(n: int, p: Polynomial) -> Polynomial:
-    images = (kameko_down(n, m) for m in p.terms)
-    return Polynomial((m for m in images if m is not None), n)
 
 
 def kameko_iso_applicable(n: int, d: int) -> bool:

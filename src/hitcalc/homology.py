@@ -146,20 +146,16 @@ def primitive_basis(n: int, d: int) -> PrimitiveBasis:
     """Joint kernel of the dual squares of 2-power degree <= d, echelonized.
 
     A d-element is primitive iff it pairs to zero with every hit polynomial,
-    so this is the kernel of the canonical hit rows.  A hit space the memory
-    tier already holds is reused; otherwise one is eliminated and dropped,
-    never memoised or written.
+    so this is the kernel of the canonical hit rows, taken block by block
+    (``hit.hit_kernel``).
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
 
     def compute() -> EchelonBasis:
-        from .hit import hit_echelon
+        from .hit import hit_kernel
 
-        hit = store.peek("hit", n, d)
-        if hit is None:
-            hit = hit_echelon(n, d)
-        return hit.kernel()
+        return hit_kernel(n, d)
 
     return PrimitiveBasis(n, d, store.cached_primitive_basis(n, d, compute))
 

@@ -41,7 +41,7 @@ import functools
 import itertools
 from collections import Counter, defaultdict
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import store
 from .budget import BudgetError
@@ -277,29 +277,43 @@ def _count_bounded(s: int, w: int, bound: int) -> int:
     return sum(_count_bounded(s - 1, w - v, 2 * v) for v in range(min(w, bound) + 1))
 
 
-def _enumerate_words(s: int, w: int, bound: int | None) -> Iterator[tuple[int, ...]]:
-    """Reduced words of length s, weight w, last index <= bound (if given)."""
-    if s == 0:
-        if w == 0:
-            yield ()
-        return
-    top = w if bound is None else min(w, bound)
-    for v in range(top + 1):
-        if w - v > 2 * v * ((1 << (s - 1)) - 1):
-            continue  # prefix cannot absorb the remaining weight
-        for prefix in _enumerate_words(s - 1, w - v, 2 * v):
-            yield prefix + (v,)
-
-
 def _check_word_cap(s: int, w: int) -> None:
     if bidegree_count(s, w) > MAX_WORDS_PER_BIDEGREE:
         raise BudgetError(f"bidegree ({s}, {w}) exceeds the word budget")
 
 
+def _reduced_words(
+    out: list[tuple[int, ...]], word: list[int], i: int, rest: int, low: int
+) -> bool:
+    """Append to out, in ascending lex order, each reduced word that keeps
+    word[:i], has weight rest at positions i on and word[i] >= low; return
+    whether there was one."""
+    if i == len(word) - 1:
+        if rest < low:
+            return False
+        word[i] = rest
+        out.append(tuple(word))
+        return True
+    found = False
+    for a in range(low, rest + 1):
+        word[i] = a
+        # a <= 2 word[i + 1] iff word[i + 1] >= (a + 1) // 2
+        if not _reduced_words(out, word, i + 1, rest - a, (a + 1) // 2):
+            break  # a larger a leaves less weight and raises the bound
+        found = True
+    return found
+
+
 @functools.lru_cache(maxsize=256)
 def bidegree_basis_tuples(s: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced words of length s and weight w, in ascending lex order,
+    built first index first with no sort."""
     _check_word_cap(s, w)
-    return tuple(sorted(_enumerate_words(s, w, None)))
+    if s == 0 or w < 0:
+        return ((),) if (s, w) == (0, 0) else ()
+    out: list[tuple[int, ...]] = []
+    _reduced_words(out, [0] * s, 0, w, 0)
+    return tuple(out)
 
 
 def boundary_echelon(s: int, w: int) -> EchelonBasis:

@@ -113,6 +113,13 @@ def monomial_count(n: int, d: int) -> int:
     return num // den
 
 
+def full_support_count(k: int, d: int) -> int:
+    """C(d-1, k-1): the degree-d monomials in k variables with every exponent >= 1."""
+    if k == 0:
+        return int(d == 0)
+    return monomial_count(k, d - k) if d >= k else 0
+
+
 def _enumerate_tuples(n: int, d: int) -> Iterator[tuple[int, ...]]:
     if n == 1:
         yield (d,)

@@ -2,25 +2,27 @@
 
 Every memoised value is keyed by (kind, n, d).  The memory tier is always
 on and serves library calls; ``configure`` empties it.  The disk tier holds
-the echelon kinds (hit, primitive, lambda-bidegree, the coinvariant
-relations over the primitive basis, and lambda-differential, the transposed
-differential out of a lambda bidegree) and is on only while ``configure``
-names a directory, which the command line does once per command from
-``--cache-dir``, ``--no-cache`` and ``$HITCALC_CACHE``; outside a command
-nothing touches disk.  A command writes the bases it asks for and never
-their intermediates: a primitive space is the kernel of a hit space that it
-neither memoises nor writes, since at (4, 35) writing it would cost an
-extra 8.9 MB file and raise peak RSS from 22 MiB to 27 MiB.  It does reuse
-(``peek``) a hit space the memory tier already holds.  An entry is encoded
-in memory, so one whose file would exceed the budget is skipped with a warning.
+the echelon kinds (hit-plus, the hit space of the full-support block
+P^+_k(d), which serves every n >= k; primitive; lambda-bidegree; the
+coinvariant relations over the primitive basis; and lambda-differential,
+the transposed differential out of a lambda bidegree) and is on only while
+``configure`` names a directory, which the command line does once per
+command from ``--cache-dir``, ``--no-cache`` and ``$HITCALC_CACHE``;
+outside a command nothing touches disk.  A command writes the bases it asks
+for and never their intermediates: a primitive space is the kernel of hit
+blocks that it neither memoises nor writes, so a primitive command writes
+one entry.  It does reuse (``peek``) a block the memory tier already holds.
+An entry is encoded in memory, so one whose file would exceed the budget
+is skipped with a warning.
 
 HPB1 layout, all little-endian:
 
     magic   4s   b"HPB1"
     version u16  2
-    kind    u8   1 = hit, 2 = primitive, 3 = lambda-bidegree, 4 = coinvariant,
-                 5 = lambda-differential
-    n_or_s  u32  variable count (or word length)
+    kind    u8   2 = primitive, 3 = lambda-bidegree, 4 = coinvariant,
+                 5 = lambda-differential, 6 = hit-plus (1, whole hit
+                 spaces, is retired)
+    n_or_s  u32  variable count (or word length; for hit-plus: k)
     d_or_w  u32  degree (or weight)
     m       u64  ambient coordinate count (for coinvariant: the primitive
                  dimension p, the relations being over the primitive basis)
@@ -49,7 +51,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .budget import fits
 from .gf2 import EchelonBasis
-from .steenrod import monomial_count
+from .steenrod import full_support_count, monomial_count
 
 __all__ = [
     "CacheEntry",
@@ -68,12 +70,12 @@ __all__ = [
 MAGIC = b"HPB1"
 VERSION = 2
 _HEADER = struct.Struct("<4sHBIIQQ")
-_KINDS = {
-    "hit": 1,
+_KINDS = {  # kind 1 held whole hit spaces; it is retired, not reused
     "primitive": 2,
     "lambda-bidegree": 3,
     "coinvariant": 4,
     "lambda-differential": 5,
+    "hit-plus": 6,
 }
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
 
@@ -143,6 +145,8 @@ def cache_dir(override: str | None = None) -> Path:
 
 
 def _filename(kind: str, n: int, d: int) -> str:
+    if kind == "hit-plus":
+        return f"hit_plus_k{n}_d{d}.hpb1"
     if kind == "lambda-bidegree":
         return f"lambda_s{n}_w{d}.hpb1"
     if kind == "lambda-differential":
@@ -253,10 +257,10 @@ def _fetch_echelon(
 
 
 def cached_hit_basis(
-    n: int, d: int, compute: Callable[[], EchelonBasis]
+    k: int, d: int, compute: Callable[[], EchelonBasis]
 ) -> EchelonBasis:
-    """The hit echelon of degree d in n variables; compute() on a miss."""
-    return _fetch_echelon("hit", n, d, monomial_count(n, d), compute)
+    """The hit echelon of the full-support block P^+_k(d); compute() on a miss."""
+    return _fetch_echelon("hit-plus", k, d, full_support_count(k, d), compute)
 
 
 def cached_primitive_basis(

@@ -1,5 +1,7 @@
 """Whole-word rewriting in the lambda algebra: the oracle for the engine's
-positional rewriting, and the quadratic relations it is checked on.
+positional rewriting, and the quadratic relations it is checked on; and the
+reduced words generated last index first, the oracle for the engine's
+ascending-lex word lists.
 
 ``whole_word_normal_form`` keeps a pending set of words, cancelling equal
 words as they arrive, and rewrites one bad pair of a popped word at a time:
@@ -11,7 +13,7 @@ generator differential ``_d_generator`` and the step budget with
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from hitcalc.lambda_algebra import (
     NORMAL_FORM_STEP_BUDGET,
@@ -93,3 +95,19 @@ def oracle_differential(e: LambdaElement, leftmost: bool = True) -> LambdaElemen
         for pair in _d_generator(n)
     )
     return LambdaElement(whole_word_normal_form(raw, leftmost))
+
+
+def enumerate_words(s: int, w: int, bound: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Reduced words of length s, weight w, last index <= bound (if given),
+    generated last index first: the oracle for ``bidegree_basis_tuples``,
+    which builds the ascending-lex list first index first."""
+    if s == 0:
+        if w == 0:
+            yield ()
+        return
+    top = w if bound is None else min(w, bound)
+    for v in range(top + 1):
+        if w - v > 2 * v * ((1 << (s - 1)) - 1):
+            continue  # prefix cannot absorb the remaining weight
+        for prefix in enumerate_words(s - 1, w - v, 2 * v):
+            yield prefix + (v,)

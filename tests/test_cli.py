@@ -195,7 +195,7 @@ class TestBudget:
         assert run(*argv.split()) == (3, "", f"budget exceeded: {message}\n")
 
     def test_library_calls_after_a_command_use_the_default(self, run):
-        # the rows of the hit space (4, 35) take more than 1 MiB
+        # the rows of the hit block P^+_4(35) take more than 1 MiB
         assert run("--budget-mb", "1", "cohit", "-n", "4", "-d", "35")[0] == 3
         assert cohit_dim(4, 35) == 120
 

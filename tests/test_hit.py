@@ -1,11 +1,13 @@
+import math
 import random
 from collections import Counter
 
 import pytest
+from hit_oracle import global_generator_rows, global_hit_echelon
 
-from hitcalc import budget
+from hitcalc import budget, store
 from hitcalc.budget import BudgetError
-from hitcalc.gf2 import EchelonBasis
+from hitcalc.gf2 import EchelonBasis, quotient_representatives
 from hitcalc.hit import (
     _generator_rows,
     _square_degrees,
@@ -13,16 +15,18 @@ from hitcalc.hit import (
     cohit_dim,
     hit_basis,
     kameko_down,
-    kameko_down_poly,
     kameko_iso_applicable,
     peterson_wood_zero,
     reduce_degree_chain,
 )
+from hitcalc.homology import primitive_basis
 from hitcalc.steenrod import (
     Monomial,
     Polynomial,
+    _tuples,
     degree_index,
     enumerate_monomials,
+    full_support_count,
     monomial_count,
     sq_exponent_targets,
 )
@@ -57,7 +61,73 @@ def sq_target_rows(n, d):
 def test_packed_generator_rows_match_targets():
     cases = [(n, d) for n in (1, 2, 3) for d in range(21)] + [(4, 23), (5, 12)]
     for n, d in cases:
-        assert Counter(_generator_rows(n, d)) == Counter(sq_target_rows(n, d)), (n, d)
+        rows = Counter(global_generator_rows(n, d))
+        assert rows == Counter(sq_target_rows(n, d)), (n, d)
+
+
+def support(exps):
+    return tuple(i for i, e in enumerate(exps) if e)
+
+
+def test_every_generator_row_has_its_sources_support():
+    for n in range(1, 5):
+        for d in range(17):
+            for k in _square_degrees(d):
+                for m in enumerate_monomials(n, d - k):
+                    for t in sq_exponent_targets(k, tuple(m)):
+                        assert support(t) == support(m), (n, d, k, m, t)
+
+
+def test_block_rows_are_the_full_support_rows():
+    # the reference rows of the sources with every exponent >= 1, indexed in
+    # the lex order of P^+_n(d)
+    for n in range(1, 5):
+        for d in range(n, 19):
+            index = {t: i for i, t in enumerate(m for m in degree_index(n, d) if all(m))}
+            assert len(index) == full_support_count(n, d)
+            rows = []
+            for k in _square_degrees(d):
+                for m in enumerate_monomials(n, d - k):
+                    if all(m):
+                        targets = sq_exponent_targets(k, tuple(m))
+                        if bits := sum(1 << index[t] for t in targets):
+                            rows.append(bits)
+            assert Counter(_generator_rows(n, d)) == Counter(rows), (n, d)
+
+
+# every (n, d) with n <= 4, d <= 21 or n = 5, d <= 16, and larger instances
+ORACLE_GRID = (
+    [(n, d) for n in range(1, 5) for d in range(22)]
+    + [(5, d) for d in range(17)]
+    + [(4, 23), (4, 25), (4, 35), (5, 21)]
+)
+
+
+def test_relabelled_blocks_equal_the_global_elimination():
+    for n, d in ORACLE_GRID:
+        store.configure(None)  # empties the memory tier
+        whole = global_hit_echelon(n, d)
+        assert hit_basis(n, d).row_ints() == whole.row_ints(), (n, d)
+        primitives = primitive_basis(n, d).echelon
+        assert primitives.row_ints() == whole.kernel().row_ints(), (n, d)
+        tuples = _tuples(n, d)
+        assert cohit_basis(n, d).representatives == tuple(
+            Monomial(tuples[i]) for i in quotient_representatives(whole)
+        ), (n, d)
+    store.configure(None)
+
+
+@pytest.mark.parametrize("n, d, dim", [(5, 21, 840), (5, 25, 1240), (4, 35, 120)])
+def test_cohit_dim_is_the_sum_over_supports(n, d, dim):
+    # dim QP^+_k(d): the oracle's cohit representatives in k variables with
+    # every exponent >= 1
+    plus = []
+    for k in range(1, n + 1):
+        tuples = _tuples(k, d)
+        reps = quotient_representatives(global_hit_echelon(k, d))
+        plus.append(sum(1 for i in reps if all(tuples[i])))
+    assert sum(math.comb(n, k) * q for k, q in enumerate(plus, 1)) == dim
+    assert cohit_dim(n, d) == dim == monomial_count(n, d) - global_hit_echelon(n, d).rank
 
 
 class TestHitBasis:
@@ -102,7 +172,7 @@ class TestCohits:
     def test_representatives_are_nonpivot_monomials(self):
         basis = cohit_basis(2, 3)
         assert [str(m) for m in basis.representatives] == ["0.3", "2.1", "3.0"]
-        assert basis.dimension == monomial_count(2, 3) - basis.hit.rank
+        assert basis.dimension == monomial_count(2, 3) - hit_basis(2, 3).rank
 
     def test_generator_row_order_changes_nothing(self, monkeypatch):
         import hitcalc.hit as hit_mod
@@ -136,6 +206,11 @@ class TestPetersonWood:
             for d in range(0, 17):
                 if peterson_wood_zero(n, d):
                     assert cohit_dim(n, d) == 0, (n, d)
+
+
+def kameko_down_poly(n, p):
+    images = (kameko_down(n, m) for m in p.terms)
+    return Polynomial((m for m in images if m is not None), n)
 
 
 class TestKameko:

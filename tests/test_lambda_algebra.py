@@ -22,7 +22,12 @@ from hitcalc.lambda_algebra import (
     normal_form,
     parse_lambda_element,
 )
-from lambda_oracle import oracle_differential, oracle_normal_form, relation_element
+from lambda_oracle import (
+    enumerate_words,
+    oracle_differential,
+    oracle_normal_form,
+    relation_element,
+)
 
 
 def elem(*indices):
@@ -229,6 +234,12 @@ class TestBidegreeBasis:
         ]
         reduced = {w for w in raw if w[0] <= 2 * w[1] and w[1] <= 2 * w[2]}
         assert {tuple(w) for w in bidegree_basis(3, 8)} == reduced
+
+    def test_words_are_the_sorted_generator(self):
+        for s in range(7):
+            for w in range(-2, 41):
+                expected = tuple(sorted(enumerate_words(s, w)))
+                assert bidegree_basis_tuples(s, w) == expected, (s, w)
 
     def test_count_equals_the_enumeration(self):
         for s in range(6):

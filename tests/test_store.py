@@ -23,7 +23,8 @@ from hitcalc.store import (
 
 
 def sample_entry():
-    return CacheEntry("hit", 2, 3, 4, (0b0110,))
+    # the hit space of P^+_2(3): Sq^1(u1 u2) = u1^2 u2 + u1 u2^2
+    return CacheEntry("hit-plus", 2, 3, 2, (0b11,))
 
 
 class TestRoundTrip:
@@ -31,7 +32,7 @@ class TestRoundTrip:
         entry = sample_entry()
         path = cache_store(entry, tmp_path)
         first = path.read_bytes()
-        assert cache_load("hit", 2, 3, tmp_path) == entry
+        assert cache_load("hit-plus", 2, 3, tmp_path) == entry
         cache_store(entry, tmp_path)
         assert path.read_bytes() == first
 
@@ -45,7 +46,7 @@ class TestRoundTrip:
         assert decode(encode(streamed)) == entry
 
     def test_missing_is_miss(self, tmp_path):
-        assert cache_load("hit", 9, 9, tmp_path) is None
+        assert cache_load("hit-plus", 9, 9, tmp_path) is None
 
 
 class TestValidation:
@@ -55,33 +56,33 @@ class TestValidation:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"nope"
         path.write_bytes(bytes(blob))
-        assert cache_load("hit", 2, 3, tmp_path) is None
+        assert cache_load("hit-plus", 2, 3, tmp_path) is None
 
     def test_truncated(self, tmp_path):
         path = cache_store(sample_entry(), tmp_path)
         path.write_bytes(path.read_bytes()[:-3])
-        assert cache_load("hit", 2, 3, tmp_path) is None
+        assert cache_load("hit-plus", 2, 3, tmp_path) is None
 
     def test_wrong_version(self, tmp_path):
         path = cache_store(sample_entry(), tmp_path)
         blob = bytearray(path.read_bytes())
         blob[4] = 9
         path.write_bytes(bytes(blob))
-        assert cache_load("hit", 2, 3, tmp_path) is None
+        assert cache_load("hit-plus", 2, 3, tmp_path) is None
 
 
     @pytest.mark.parametrize(
         "argv, name, byte, bit, head",
         [
             # the first row's lowest bit, right after the header
-            pytest.param(["cohit"], "hit", 31, 0, "dimension 7\n", id="31-0"),
-            # a padding bit above the 55 coordinates of (3, 9)
-            pytest.param(["cohit"], "hit", 38, 7, "dimension 7\n", id="38-7"),
+            pytest.param(["cohit"], "hit_plus_k3", 31, 0, "dimension 7\n", id="31-0"),
+            # a padding bit above the 28 coordinates of P^+_3(9)
+            pytest.param(["cohit"], "hit_plus_k3", 38, 7, "dimension 7\n", id="38-7"),
             # coordinate 12 of the first row, not a pivot: the rows stay
             # canonical, and only the checksum tells that the basis changed
             pytest.param(
                 ["primitives", "--basis"],
-                "primitive",
+                "primitive_n3",
                 32,
                 4,
                 "dimension 7\n",
@@ -91,7 +92,7 @@ class TestValidation:
             # seven primitives: again only the checksum tells
             pytest.param(
                 ["coinvariants"],
-                "coinvariant",
+                "coinvariant_n3",
                 31,
                 6,
                 "dimension 1 (relations rank 6)\n",
@@ -106,7 +107,7 @@ class TestValidation:
         assert main(args) == 0
         clean = capsys.readouterr().out
         assert clean.startswith(head)
-        path = tmp_path / f"{name}_n3_d9.hpb1"
+        path = tmp_path / f"{name}_d9.hpb1"
         blob = bytearray(path.read_bytes())
         blob[byte] ^= 1 << bit
         path.write_bytes(bytes(blob))
@@ -158,7 +159,7 @@ class TestAtomicity:
         assert not errors
         files = list(tmp_path.iterdir())
         assert len(files) == 1
-        assert cache_load("hit", 2, 3, tmp_path) == entry
+        assert cache_load("hit-plus", 2, 3, tmp_path) == entry
 
 
 def unreachable(*args, **kwargs):
@@ -172,10 +173,13 @@ class TestCachedWrappers:
         yield
         store.configure(None)
 
-    def test_hit_roundtrip(self, tmp_path):
+    def test_hit_roundtrip(self, tmp_path, monkeypatch):
         rows = hit_basis(2, 6).row_ints()
+        block = cached_hit_basis(2, 6, unreachable).row_ints()
         store.configure(tmp_path)  # empties the memory tier
-        assert cached_hit_basis(2, 6, unreachable).row_ints() == rows
+        assert cached_hit_basis(2, 6, unreachable).row_ints() == block
+        monkeypatch.setattr(hit, "_generator_rows", unreachable)
+        assert hit_basis(2, 6).row_ints() == rows
 
     def test_primitive_roundtrip(self, tmp_path):
         rows = primitive_basis(2, 6).echelon.row_ints()
@@ -189,17 +193,17 @@ class TestCachedWrappers:
 
     def test_a_load_holds_no_decoded_copy_of_the_file(self, tmp_path):
         # the rows are decoded one at a time, last first, and held shifted to
-        # their pivots (114 KB here); a tuple of every decoded row beside the
-        # file's 802 KB took the load's traced peak to 1.7 times the file
-        hit_basis(4, 23)
+        # their pivots (73 KB here); a tuple of every decoded row beside the
+        # file's 853 KB took the load's traced peak to 1.8 times the file
+        cohit_dim(4, 27)
         store.configure(tmp_path)  # empties the memory tier
         tracemalloc.start()
         try:
-            cached_hit_basis(4, 23, unreachable)
+            cached_hit_basis(4, 27, unreachable)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * (tmp_path / "hit_n4_d23.hpb1").stat().st_size
+        assert peak < 1.5 * (tmp_path / "hit_plus_k4_d27.hpb1").stat().st_size
 
     def test_cache_matches_direct_computation(self, tmp_path):
         store.configure(None)
@@ -219,9 +223,10 @@ class TestCachedWrappers:
         ],
     )
     def test_rows_that_are_not_canonical_recompute(self, tmp_path, capsys, rows):
-        cache_store(CacheEntry("hit", 2, 1, 2, rows), tmp_path)  # checksum intact
+        # P^+_2(3) has two coordinates
+        cache_store(CacheEntry("hit-plus", 2, 3, 2, rows), tmp_path)  # checksum intact
         fresh = EchelonBasis(2)
-        assert cached_hit_basis(2, 1, lambda: fresh) is fresh
+        assert cached_hit_basis(2, 3, lambda: fresh) is fresh
         assert "ignoring corrupt cache entry" in capsys.readouterr().err
 
     def test_memory_tier_serves_repeats(self):
@@ -232,7 +237,7 @@ class TestCachedWrappers:
 
 
 class TestPrimitiveFromMemoisedHit:
-    """A primitive space reuses a hit space in memory and never memoises one."""
+    """A primitive space reuses hit blocks in memory and never memoises one."""
 
     def test_reuses_the_hit_space_in_memory(self, monkeypatch):
         store.configure(None)
@@ -246,7 +251,7 @@ class TestPrimitiveFromMemoisedHit:
     def test_leaves_no_hit_space_behind(self):
         store.configure(None)
         primitive_basis(3, 9)
-        assert store.peek("hit", 3, 9) is None
+        assert all(store.peek("hit-plus", k, 9) is None for k in range(4))
         assert store.peek("primitive", 3, 9) is not None
         store.configure(None)
 
@@ -261,7 +266,10 @@ class TestDiskTraffic:
     @pytest.mark.parametrize(
         "argv, written",
         [
-            (["cohit", "-n", "3", "-d", "9"], {"hit_n3_d9"}),
+            (
+                ["cohit", "-n", "3", "-d", "9"],
+                {"hit_plus_k1_d9", "hit_plus_k2_d9", "hit_plus_k3_d9"},
+            ),
             (
                 ["verify", "thm21", "-t", "1", "-s", "1", "-u", "3"],
                 {"primitive_n4_d35", "coinvariant_n4_d35"},
@@ -308,11 +316,12 @@ class TestDiskTraffic:
         assert strip_timing(out) == strip_timing(cold) and err == ""
 
 
-@pytest.mark.parametrize("d, size", [(23, 801_995), (24, 1_050_675)])
+@pytest.mark.parametrize("d, size", [(27, 852_835), (28, 1_068_707)])
 def test_an_entry_over_the_budget_is_not_written(tmp_path, capsys, d, size):
-    # the hit rows of (4, 24) take 95 KiB shifted to their pivots, but their
-    # HPB1 entry takes just over 1 MiB; those of (4, 23) fit both ways
-    path = tmp_path / f"hit_n4_d{d}.hpb1"
+    # the hit rows of P^+_4(28) take 95 KiB shifted to their pivots, but
+    # their HPB1 entry takes just over 1 MiB; those of P^+_4(27) fit both
+    # ways, and so do the blocks in fewer variables
+    path = tmp_path / f"hit_plus_k4_d{d}.hpb1"
     argv = ["cohit", "-n", "4", "-d", str(d)]
     assert main(["--budget-mb", "1", "--cache-dir", str(tmp_path), *argv]) == 0
     out, err = capsys.readouterr()
@@ -322,12 +331,16 @@ def test_an_entry_over_the_budget_is_not_written(tmp_path, capsys, d, size):
         assert err == "" and path.stat().st_size == size
     else:
         assert err == f"warning: not caching {path}: its {size:,} bytes exceed the budget\n"
-        assert list(tmp_path.iterdir()) == []
+        assert not path.exists()
+    assert {p.name for p in tmp_path.iterdir()} >= {
+        f"hit_plus_k{k}_d{d}.hpb1" for k in (1, 2, 3)
+    }
 
 
 def test_no_cache_and_library_calls_stay_off_disk(tmp_path, capsys, monkeypatch):
     assert main(["--cache-dir", str(tmp_path), "cohit", "-n", "3", "-d", "9"]) == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["hit_n3_d9.hpb1"]
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == [f"hit_plus_k{k}_d9.hpb1" for k in (1, 2, 3)]
     monkeypatch.setenv(store.ENV_VAR, str(tmp_path))
     touched = []
 
@@ -344,4 +357,4 @@ def test_no_cache_and_library_calls_stay_off_disk(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().out.startswith("dimension 7\n")
     assert hit_basis(3, 9).rank == 55 - 7  # a library call outside main()
     assert touched == []
-    assert [p.name for p in tmp_path.iterdir()] == ["hit_n3_d9.hpb1"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
