@@ -16,16 +16,16 @@ import importlib
 _EXPORTS = {
     "budget": "BudgetError DEFAULT_BUDGET HEAVY_BUDGET",
     "gf2": "EchelonBasis quotient_representatives",
-    "glrep": "CoinvariantReport GLMatrix act_homology act_poly coinvariant_class_nonzero"
-    " coinvariant_classes generators group_closure invariant_basis parse_glmatrix",
-    "hit": "CohitBasis cohit_basis cohit_dim hit_basis kameko_down"
-    " kameko_iso_applicable peterson_wood_zero reduce_degree_chain",
-    "homology": "DElement DMonomial PrimitiveBasis dp_product dual_kameko_up dual_sq"
-    " pair parse_delement parse_dmonomial primitive_basis zeta_element",
+    "glrep": "CoinvariantReport GLMatrix coinvariant_class_nonzero coinvariant_classes"
+    " generators invariant_basis parse_glmatrix",
+    "hit": "CohitBasis cohit_basis cohit_dim hit_basis kameko_iso_applicable"
+    " reduce_degree_chain",
+    "homology": "DElement DMonomial PrimitiveBasis dual_sq pair parse_delement"
+    " parse_dmonomial primitive_basis zeta_element",
     "lambda_algebra": "LambdaElement LambdaWord TerminationGuardError differential"
     " homology_dim is_boundary normal_form parse_lambda_element",
-    "steenrod": "Monomial Polynomial alpha enumerate_monomials"
-    " generic_degree mu parse_monomial parse_polynomial sq sq_monomial",
+    "steenrod": "Monomial Polynomial alpha generic_degree mu parse_monomial"
+    " parse_polynomial sq",
     "transfer": "TransferImage TransferReport class_equal label_dictionary psi"
     " transfer_report",
 }

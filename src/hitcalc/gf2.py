@@ -244,7 +244,7 @@ class EchelonBasis:
         """Residual of a row int modulo the span: zeros at every pivot coordinate."""
         return self._reduce(bits)
 
-    # perfbench/trace_cli.py wraps these two names; they go with ROADMAP item 3
+    # perfbench/trace_cli.py wraps these two names; they go with ROADMAP item 4
     insert = insert_int
     reduce = reduce_int
 

@@ -20,19 +20,15 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import store
 from .gf2 import EchelonBasis, ones, quotient_representatives
-from .homology import DElement, PrimitiveBasis, primitive_basis
-from .homology import _bits_element, _element_bits
+from .homology import DElement, PrimitiveBasis, _element_bits, primitive_basis
 from .steenrod import Polynomial, _tuples, degree_index
 
 __all__ = [
     "GLMatrix",
     "CoinvariantReport",
     "generators",
-    "act_poly",
-    "act_homology",
     "invariant_basis",
     "coinvariant_classes",
-    "group_closure",
     "parse_glmatrix",
 ]
 
@@ -64,24 +60,6 @@ class GLMatrix(_GLMatrixFields):
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "GLMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def __matmul__(self, other: "GLMatrix") -> "GLMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        n = self.n
-        return GLMatrix(
-            tuple(
-                tuple(
-                    sum(self.entries[i][k] & other.entries[k][j] for k in range(n)) & 1
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
 
     def inverse(self) -> "GLMatrix":
         n = self.n
@@ -138,26 +116,6 @@ def generators(n: int) -> list[GLMatrix]:
     return gens
 
 
-def group_closure(gens: Sequence[GLMatrix], limit: int = 100_000) -> set[GLMatrix]:
-    """The subgroup generated by gens, by breadth-first closure."""
-    if not gens:
-        return {GLMatrix.identity(1)}
-    seen = {GLMatrix.identity(gens[0].n)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                gh = g @ h
-                if gh not in seen:
-                    seen.add(gh)
-                    nxt.append(gh)
-                    if len(seen) > limit:
-                        raise RuntimeError("group closure exceeded limit")
-        frontier = nxt
-    return seen
-
-
 # -- actions ---------------------------------------------------------------------
 
 
@@ -181,13 +139,6 @@ def _act_exponents(g: GLMatrix, exps: tuple[int, ...]) -> frozenset[tuple[int, .
             e >>= 1
             bit <<= 1
     return frozenset(acc)
-
-
-def act_poly(g: GLMatrix, p: Polynomial) -> Polynomial:
-    """Degree-preserving algebra substitution u_j -> sum_i g[i][j] u_i."""
-    if g.n != p.n:
-        raise ValueError("variable count mismatch")
-    return Polynomial((t for m in p.terms for t in _act_exponents(g, m)), p.n)
 
 
 def _dp_image(
@@ -258,19 +209,6 @@ def _homology_action(g: GLMatrix, d: int) -> Callable[[Iterable[int]], int]:
         return out
 
     return act
-
-
-def act_homology(g: GLMatrix, xi: DElement) -> DElement:
-    """The adjoint action on homology: <g.xi, f> = <xi, g^{-1}.f> for all f."""
-    if g.n != xi.n:
-        raise ValueError("variable count mismatch")
-    if xi.is_zero():
-        return xi
-    d = xi.degree
-    assert d is not None
-    index = degree_index(xi.n, d)
-    image = _homology_action(g, d)(index[t] for t in xi.terms)
-    return _bits_element(image, xi.n, d)
 
 
 # -- invariants of cohits --------------------------------------------------------

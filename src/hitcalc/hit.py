@@ -42,7 +42,6 @@ from .gf2 import EchelonBasis, ones, quotient_representatives
 from .steenrod import (
     Monomial,
     _odd_submasks,
-    alpha,
     full_support_count,
     monomial_count,
     mu,
@@ -54,8 +53,6 @@ __all__ = [
     "hit_kernel",
     "cohit_dim",
     "cohit_basis",
-    "peterson_wood_zero",
-    "kameko_down",
     "kameko_iso_applicable",
     "reduce_degree_chain",
 ]
@@ -260,6 +257,7 @@ def hit_kernel(n: int, d: int) -> EchelonBasis:
     It is each block's kernel, relabelled.  A block the memory tier holds is
     reused; the others are eliminated and dropped, never memoised or written.
     """
+    _check(n, d)
 
     def kernel_of(k: int) -> EchelonBasis:
         block = store.peek("hit-plus", k, d)
@@ -297,28 +295,7 @@ def cohit_dim(n: int, d: int) -> int:
     return dim
 
 
-def peterson_wood_zero(n: int, d: int) -> bool:
-    """True iff alpha(n + d) > n, which forces the degree-d cohits to vanish."""
-    return alpha(n + d) > n
-
-
 # -- degree reduction ------------------------------------------------------------
-
-
-def kameko_down(n: int, m: Monomial) -> Monomial | None:
-    """The halving map on monomials of degree 2d + n.
-
-    All-odd exponent tuples map to their halved tuple ((e_i - 1) / 2); any
-    even exponent sends the monomial to zero (None).  Extended linearly it
-    descends to a well-defined map on cohits.
-    """
-    if len(m) != n:
-        raise ValueError("variable count mismatch")
-    if (sum(m) - n) % 2 != 0:
-        raise ValueError(f"degree {sum(m)} is not of the form 2d + {n}")
-    if any(e % 2 == 0 for e in m):
-        return None
-    return Monomial((e - 1) // 2 for e in m)
 
 
 def kameko_iso_applicable(n: int, d: int) -> bool:

@@ -4,8 +4,7 @@ A d-monomial a_1^(d_1)...a_n^(d_n) is the dual basis element of the
 monomial u_1^{d_1}...u_n^{d_n}; both sides share one enumeration, so the
 pairing of a d-element with a polynomial is just the parity of the number
 of common exponent tuples.  A d-element is a ``terms.TermSet`` with
-``DMonomial`` as its term class, so that count is a set intersection.  The
-product follows the divided power rule a^(d) a^(e) = C(d+e, d) a^(d+e).
+``DMonomial`` as its term class, so that count is a set intersection.
 
 ``dual_sq`` is the transpose of the squaring operation across the pairing:
 on a d-monomial it sends a^(m) to the sum over compositions k = k_1+...+k_n
@@ -33,10 +32,8 @@ __all__ = [
     "DElement",
     "PrimitiveBasis",
     "pair",
-    "dp_product",
     "dual_sq",
     "primitive_basis",
-    "dual_kameko_up",
     "zeta_element",
     "parse_dmonomial",
     "parse_delement",
@@ -68,7 +65,7 @@ def parse_delement(text: str, n: int | None = None) -> DElement:
     return DElement.parse(text, n)
 
 
-# -- pairing and product ---------------------------------------------------------
+# -- the pairing -----------------------------------------------------------------
 
 
 def pair(xi: DElement, f: Polynomial) -> int:
@@ -76,15 +73,6 @@ def pair(xi: DElement, f: Polynomial) -> int:
     if xi.n != f.n:
         raise ValueError("variable count mismatch in pairing")
     return len(xi.terms & f.terms) & 1
-
-
-def dp_product(x: DMonomial, y: DMonomial) -> DElement:
-    """Divided-power product: one d-monomial or zero, by Lucas on each variable."""
-    if len(x) != len(y):
-        raise ValueError("variable count mismatch")
-    if any(a & b for a, b in zip(x, y)):  # C(a+b, a) is even
-        return DElement.zero(len(x))
-    return DElement((tuple(a + b for a, b in zip(x, y)),), len(x))
 
 
 # -- the transposed squaring action ----------------------------------------------
@@ -160,12 +148,7 @@ def primitive_basis(n: int, d: int) -> PrimitiveBasis:
     return PrimitiveBasis(n, d, store.cached_primitive_basis(n, d, compute))
 
 
-# -- the doubling lift and the distinguished elements ----------------------------
-
-
-def dual_kameko_up(xi: DElement) -> DElement:
-    """Termwise a_i^(e) -> a_i^(2e+1); lifts primitives to primitives."""
-    return DElement((tuple(2 * e + 1 for e in t) for t in xi.terms), xi.n)
+# -- the distinguished elements --------------------------------------------------
 
 
 def zeta_element(family: str, t: int, s: int, u: int) -> DElement:

@@ -26,12 +26,9 @@ __all__ = [
     "alpha",
     "mu",
     "generic_degree",
-    "enumerate_monomials",
     "degree_index",
     "monomial_count",
-    "sq_monomial",
     "sq",
-    "omega_sequence",
     "parse_monomial",
     "parse_polynomial",
 ]
@@ -71,24 +68,12 @@ class Monomial(Term):
     __slots__ = ()
     noun = "monomial"
 
-    def __mul__(self, other: tuple[int, ...]) -> "Monomial":
-        if len(self) != len(other):
-            raise ValueError("variable count mismatch")
-        return Monomial(a + b for a, b in zip(self, other))
-
 
 class Polynomial(TermSet):
     """A finite mod-2 sum of monomials in a fixed number of variables."""
 
     __slots__ = ()
     term = Monomial
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        return Polynomial(
-            (Monomial(a) * b for a in self.terms for b in other.terms), self.n
-        )
 
 
 def parse_monomial(text: str) -> Monomial:
@@ -138,15 +123,6 @@ def _tuples(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 def degree_index(n: int, d: int) -> dict[tuple[int, ...], int]:
     """Exponent tuple -> index in the ascending-lex degree-d enumeration."""
     return {t: i for i, t in enumerate(_tuples(n, d))}
-
-
-def enumerate_monomials(n: int, d: int) -> list[Monomial]:
-    """All degree-d monomials in n variables, ascending lex on exponent tuples."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    return [Monomial(t) for t in _tuples(n, d)]
 
 
 # -- Steenrod squares ----------------------------------------------------------
@@ -202,29 +178,9 @@ def sq_exponent_targets(k: int, exps: tuple[int, ...]) -> Iterator[tuple[int, ..
     return _compositions(k, exps, _odd_submasks, 1)
 
 
-def sq_monomial(k: int, m: Monomial) -> Polynomial:
-    """Sq^k of a single monomial via the Cartan formula."""
+def sq(k: int, p: Polynomial) -> Polynomial:
+    """Sq^k of a polynomial, monomial by monomial through the Cartan formula."""
     if k < 0:
         raise ValueError("Sq^k needs k >= 0")
-    return sq(k, Polynomial((m,), len(m)))  # which rejects negative exponents
-
-
-def sq(k: int, p: Polynomial) -> Polynomial:
-    """Linear extension of sq_monomial over a polynomial."""
     return Polynomial((t for m in p.terms for t in sq_exponent_targets(k, m)), p.n)
 
-
-# -- weight sequences ----------------------------------------------------------
-
-
-def omega_sequence(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Per-bit-position counts: omega_j = #{i : bit j-1 of e_i is set}."""
-    if not exps:
-        return ()
-    out = []
-    bit = 0
-    maxe = max(exps)
-    while maxe >> bit:
-        out.append(sum((e >> bit) & 1 for e in exps))
-        bit += 1
-    return tuple(out)

@@ -13,7 +13,7 @@ for and never their intermediates: a primitive space is the kernel of hit
 blocks that it neither memoises nor writes, so a primitive command writes
 one entry.  It does reuse (``peek``) a block the memory tier already holds.
 An entry is encoded in memory, so one whose file would exceed the budget
-is skipped with a warning.
+is skipped with a warning, and so is one that the directory cannot take.
 
 HPB1 layout, all little-endian:
 
@@ -224,7 +224,7 @@ def _fetch_echelon(
     the rows into the basis as they are, checked but never re-eliminated; an
     entry of another m or not in canonical form is a miss.  On a miss, or
     with the tier off, compute() runs, and a disk tier that is on gets the
-    result if its file fits the budget.
+    result if its file fits the budget and can be written.
     """
     key = (kind, n, d)
     basis = _memory.get(key)
@@ -243,7 +243,11 @@ def _fetch_echelon(
         if directory is not None:
             size = _encoded_size(m, basis.rank)
             if fits(size):
-                cache_store(CacheEntry(kind, n, d, m, basis.iter_row_ints()), directory)
+                entry = CacheEntry(kind, n, d, m, basis.iter_row_ints())
+                try:
+                    cache_store(entry, directory)
+                except OSError as exc:  # a directory that cannot be made or written
+                    print(f"warning: not caching {path}: {exc}", file=sys.stderr)
             else:
                 print(
                     f"warning: not caching {path}: its {size:,} bytes exceed the budget",

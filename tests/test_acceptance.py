@@ -2,8 +2,8 @@
 
 Criteria 1-9 run unconditionally; criterion 10 is the documented stretch
 target (rank 5, degree 50 coinvariants) and only runs when HITCALC_HEAVY=1
-is set, since it takes about 6.4 minutes at 1,416 MiB peak RSS on a 2-core
-VM, too long for the default suite.
+is set, since it takes about 237 s at 1,427 MiB peak RSS on a 2-core VM,
+too long for the default suite.
 """
 
 import os
@@ -20,7 +20,7 @@ from hitcalc.glrep import (
     coinvariant_classes,
     invariant_basis,
 )
-from hitcalc.hit import cohit_dim, peterson_wood_zero, reduce_degree_chain
+from hitcalc.hit import cohit_dim, reduce_degree_chain
 from hitcalc.homology import dual_sq, zeta_element
 from hitcalc.lambda_algebra import (
     LambdaElement,
@@ -29,13 +29,10 @@ from hitcalc.lambda_algebra import (
     is_boundary,
     normal_form,
 )
-from hitcalc.steenrod import (
-    degree_index,
-    enumerate_monomials,
-    sq_exponent_targets,
-)
+from hitcalc.steenrod import degree_index, sq_exponent_targets
 from hitcalc.transfer import class_equal, psi
 from lambda_oracle import oracle_normal_form, relation_element
+from reference import enumerate_monomials, peterson_wood_zero
 
 BUDGET = 2048 << 20
 
@@ -194,7 +191,7 @@ def test_criterion_9_lambda_consistency():
 @pytest.mark.skipif(
     os.environ.get("HITCALC_HEAVY") != "1",
     reason="criterion 10 is opt-in: rank-5 degree-50 coinvariants take about "
-    "6.4 min at 1,416 MiB peak RSS on a 2-core VM; set HITCALC_HEAVY=1 to run it",
+    "237 s at 1,427 MiB peak RSS on a 2-core VM; set HITCALC_HEAVY=1 to run it",
 )
 def test_criterion_10_rank5_degree50(heavy_budget):
     start = time.monotonic()

@@ -105,6 +105,26 @@ def test_readme_example(run, argv, expected):
     assert run(*argv) == (0, expected + "\n", "")
 
 
+@pytest.mark.parametrize("via", ["--cache-dir", "HITCALC_CACHE"])
+def test_a_cache_that_cannot_be_written_only_warns(run, tmp_path, monkeypatch, via):
+    # a directory under a regular file can be neither made nor read
+    (tmp_path / "file").write_text("")
+    blocked = tmp_path / "file" / "sub"
+    command = ("cohit", "-n", "3", "-d", "9")
+    if via == "HITCALC_CACHE":
+        monkeypatch.setenv(via, str(blocked))
+        code, out, err = run(*command)
+    else:
+        code, out, err = run(via, str(blocked), *command)
+    assert code == 0 and out == run("--no-cache", *command)[1]
+    lines = err.splitlines()
+    assert len(lines) == 3
+    for k, line in enumerate(lines, 1):
+        path = blocked / f"hit_plus_k{k}_d9.hpb1"
+        assert line.startswith(f"warning: not caching {path}: ")
+    assert not blocked.exists()
+
+
 class TestVerify:
     def test_thm21_pass(self, run):
         code, out, _ = run("verify", "thm21", "-t", "1", "-s", "2", "-u", "1")

@@ -4,6 +4,12 @@ from collections import Counter
 
 import pytest
 from hit_oracle import global_generator_rows, global_hit_echelon
+from reference import (
+    enumerate_monomials,
+    kameko_down,
+    kameko_down_poly,
+    peterson_wood_zero,
+)
 
 from hitcalc import budget, store
 from hitcalc.budget import BudgetError
@@ -14,9 +20,8 @@ from hitcalc.hit import (
     cohit_basis,
     cohit_dim,
     hit_basis,
-    kameko_down,
+    hit_kernel,
     kameko_iso_applicable,
-    peterson_wood_zero,
     reduce_degree_chain,
 )
 from hitcalc.homology import primitive_basis
@@ -25,7 +30,6 @@ from hitcalc.steenrod import (
     Polynomial,
     _tuples,
     degree_index,
-    enumerate_monomials,
     full_support_count,
     monomial_count,
     sq_exponent_targets,
@@ -148,6 +152,16 @@ class TestHitBasis:
             for d in range(0, 13):
                 assert hit_basis(n, d).rank == all_k_hit_rank(n, d), (n, d)
 
+    @pytest.mark.parametrize("n, d", [(2, -1), (0, 5)])
+    @pytest.mark.parametrize(
+        "entry",
+        [hit_basis, hit_kernel, cohit_basis, cohit_dim],
+        ids=lambda f: f.__name__,
+    )
+    def test_rejects_a_bad_rank_or_degree(self, entry, n, d):
+        with pytest.raises(ValueError, match="need n >= 1 and d >= 0"):
+            entry(n, d)
+
     def test_budget_error(self):
         budget.configure(1024)
         try:
@@ -206,11 +220,6 @@ class TestPetersonWood:
             for d in range(0, 17):
                 if peterson_wood_zero(n, d):
                     assert cohit_dim(n, d) == 0, (n, d)
-
-
-def kameko_down_poly(n, p):
-    images = (kameko_down(n, m) for m in p.terms)
-    return Polynomial((m for m in images if m is not None), n)
 
 
 class TestKameko:

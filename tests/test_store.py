@@ -316,7 +316,9 @@ class TestDiskTraffic:
         assert strip_timing(out) == strip_timing(cold) and err == ""
 
 
-@pytest.mark.parametrize("d, size", [(27, 852_835), (28, 1_068_707)])
+@pytest.mark.parametrize(
+    "d, size", [(27, 852_835), (28, 1_068_707)], ids=["fits", "over-budget"]
+)
 def test_an_entry_over_the_budget_is_not_written(tmp_path, capsys, d, size):
     # the hit rows of P^+_4(28) take 95 KiB shifted to their pivots, but
     # their HPB1 entry takes just over 1 MiB; those of P^+_4(27) fit both
