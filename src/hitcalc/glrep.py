@@ -1,27 +1,26 @@
-"""The general linear group over F2 acting on both sides of the pairing.
+"""The general linear group over F2 acting on the cohits, and its dual.
 
 A matrix g acts on polynomials by the substitution u_j -> sum_i g[i][j] u_i
 (column j is the image of u_j); over F2 the expansion of a power of a
 linear form is a product over the binary digits of the exponent of
-Frobenius powers, so images stay sparse for the generating matrices.  The
-homology action is the adjoint: <g.xi, f> = <xi, g^{-1}.f>.  It is computed
-directly in the divided power algebra, where g acts as the algebra map
-a_i -> sum_j h[i][j] a_j with h = g^{-1}, and only on the coordinates of
-the vectors it is applied to.
-
-Invariants are computed on the cohit quotient, coinvariants on the
-primitive subspace; their dimensions agree degreewise and the test suite
-compares the two routes directly.
+Frobenius powers, so images stay sparse for the generating matrices.  This
+is the one action computed.  Invariants are its fixed space on the cohit
+quotient.  The coinvariants of the primitives need no action of their own:
+the pairing of primitives with cohits is perfect and GL-equivariant,
+<g.xi, f> = <xi, g^{-1}.f>, so the span of the (g - 1) images of the
+primitives is the annihilator of the invariants (Singer, Math. Z. 202,
+1989; Walker-Wood, LMS Lecture Notes 441-442, 2018).  The test suite builds
+that span from the transposed substitution and compares it row for row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import store
 from .gf2 import EchelonBasis, ones, quotient_representatives
 from .homology import DElement, PrimitiveBasis, _element_bits, primitive_basis
-from .steenrod import Polynomial, _tuples, degree_index
+from .steenrod import Polynomial, degree_index
 
 __all__ = [
     "GLMatrix",
@@ -49,7 +48,7 @@ class GLMatrix(_GLMatrixFields):
             raise ValueError("matrix must be square")
         if any(e not in (0, 1) for r in entries for e in r):
             raise ValueError("entries must be bits")
-        _inverse_rows(entries)
+        _check_invertible(entries)
         return super().__new__(cls, entries)
 
     @classmethod
@@ -61,15 +60,6 @@ class GLMatrix(_GLMatrixFields):
     def n(self) -> int:
         return len(self.entries)
 
-    def inverse(self) -> "GLMatrix":
-        n = self.n
-        return GLMatrix(
-            tuple(
-                tuple(r >> (n + j) & 1 for j in range(n))
-                for r in _inverse_rows(self.entries)
-            )
-        )
-
     def __str__(self) -> str:
         return ";".join("".join(str(e) for e in row) for row in self.entries)
 
@@ -80,18 +70,12 @@ def parse_glmatrix(text: str) -> GLMatrix:
     return GLMatrix(rows)
 
 
-def _inverse_rows(entries: Sequence[Sequence[int]]) -> list[int]:
-    """The canonical rows of [g | 1], which are [1 | g^-1]: bit n + j of row
-    i is entry (i, j) of the inverse.  g is invertible iff the pivots are
-    0..n-1; otherwise this raises.
-    """
-    n = len(entries)
-    basis = EchelonBasis(2 * n)
-    for i, row in enumerate(entries):
-        basis.insert_int(sum(b << j for j, b in enumerate(row)) | 1 << (n + i))
-    if basis.pivots != tuple(range(n)):
+def _check_invertible(entries: Sequence[Sequence[int]]) -> None:
+    basis = EchelonBasis(len(entries))
+    for row in entries:
+        basis.insert_int(sum(b << j for j, b in enumerate(row)))
+    if basis.rank != len(entries):
         raise ValueError("matrix is not invertible over F2")
-    return basis.row_ints()
 
 
 def generators(n: int) -> list[GLMatrix]:
@@ -141,76 +125,6 @@ def _act_exponents(g: GLMatrix, exps: tuple[int, ...]) -> frozenset[tuple[int, .
     return frozenset(acc)
 
 
-def _dp_image(
-    supports: tuple[tuple[int, ...], ...], dexps: tuple[int, ...]
-) -> set[tuple[int, ...]]:
-    """Exponent tuples of the image of one d-monomial, mod 2, under the
-    algebra map a_i -> sum_{j in supports[i]} a_j of divided power algebras.
-
-    A divided power of a sum expands with no coefficients,
-    (x + y)^(k) = sum_{i+j=k} x^(i) y^(j), and a^(p) a^(q) is a^(p+q) when
-    p & q = 0 and zero otherwise (Lucas).
-    """
-    # rows with one entry only move an exponent; they go first, as one tuple
-    moved = [0] * len(dexps)
-    for e, (j, *spread) in zip(dexps, supports):
-        if not spread:
-            if e & moved[j]:
-                return set()
-            moved[j] += e
-    acc = {tuple(moved)}
-    for e, support in zip(dexps, supports):
-        if len(support) == 1:
-            continue
-        *spread, last = support
-        # (t, rem): the partial product t times the divided power rem of the
-        # sum of the support variables not yet visited
-        states = {(t, e) for t in acc}
-        for j in spread:
-            nxt: set[tuple[tuple[int, ...], int]] = set()
-            for t, rem in states:
-                tj = t[j]
-                for k in range(rem + 1):
-                    if not k & tj:
-                        grown = t[:j] + (tj + k,) + t[j + 1 :]
-                        nxt.symmetric_difference_update(((grown, rem - k),))
-            states = nxt
-        acc = set()
-        for t, rem in states:
-            if not rem & t[last]:
-                grown = t[:last] + (t[last] + rem,) + t[last + 1 :]
-                acc.symmetric_difference_update((grown,))
-    return acc
-
-
-def _homology_action(g: GLMatrix, d: int) -> Callable[[Iterable[int]], int]:
-    """The action of g on degree-d d-elements, as a map from the set
-    coordinates of a vector to the bits of its image.
-
-    g acts on the divided power algebra as the algebra map
-    a_i -> sum_j h[i][j] a_j with h = g^{-1}, the adjoint of the
-    substitution by g^{-1}.  Images are computed only for the coordinates
-    the map is applied to, and memoised as ints of set bits.
-    """
-    h = g.inverse().entries
-    supports = tuple(tuple(j for j in range(g.n) if row[j]) for row in h)
-    index = degree_index(g.n, d)
-    tuples = _tuples(g.n, d)
-    images: dict[int, int] = {}
-
-    def act(coords: Iterable[int]) -> int:
-        out = 0
-        for sigma in coords:
-            image = images.get(sigma)
-            if image is None:
-                image = sum(1 << index[t] for t in _dp_image(supports, tuples[sigma]))
-                images[sigma] = image
-            out ^= image
-        return out
-
-    return act
-
-
 # -- invariants of cohits --------------------------------------------------------
 
 
@@ -218,39 +132,60 @@ def invariant_basis(n: int, d: int) -> list[Polynomial]:
     """Basis of the fixed space of the group acting on the cohit quotient.
 
     Each returned polynomial is a sum of cohit representative monomials; it
-    is fixed by every generator modulo the hit subspace.
+    is fixed by every generator modulo the hit subspace.  An image is
+    reduced one monomial support S at a time, against the hit echelon of
+    the block P^+_|S|(d), whose non-pivots placed on S are the
+    representatives there.
     """
-    from .hit import cohit_basis, hit_basis
+    from .hit import cohit_basis, hold_blocks
 
     reps = cohit_basis(n, d).representatives
     q = len(reps)
     if q == 0:
         return []
-    hit = hit_basis(n, d)
-    index = degree_index(n, d)
-    rep_pos = {j: i for i, j in enumerate(quotient_representatives(hit))}
+    blocks = hold_blocks(n, d)  # cohit_basis left them in the memory tier
 
-    def cohit_coords(bits: int) -> int:
+    def locate(t: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """The support S of a monomial and its index in P^+_|S|(d)."""
+        support = tuple(i for i, e in enumerate(t) if e)
+        k = len(support)
+        if not k:  # the unit, the one monomial of P^+_0(0)
+            return support, 0
+        return support, degree_index(k, d - k)[tuple(t[i] - 1 for i in support)]
+
+    rep_pos = {locate(m): i for i, m in enumerate(reps)}
+
+    def cohit_coords(image: Iterable[tuple[int, ...]]) -> int:
+        pieces: dict[tuple[int, ...], int] = {}
+        for t in image:
+            support, j = locate(t)
+            pieces[support] = pieces.get(support, 0) ^ 1 << j
         coords = 0
-        for j in ones(hit.reduce_int(bits)):
-            coords |= 1 << rep_pos[j]
+        for support, bits in pieces.items():
+            for f in ones(blocks[len(support)].reduce_int(bits)):
+                coords |= 1 << rep_pos[support, f]
         return coords
 
     relation_rows = EchelonBasis(q)
     for g in generators(n):
+        columns = [cohit_coords(_act_exponents(g, m)) for m in reps]
+        # every generator squares to 1, and so must the map it induces on
+        # the cohits; one that does not is no action of g on the quotient
+        for c, column in enumerate(columns):
+            square = 0
+            for j in ones(column):
+                square ^= columns[j]
+            if square != 1 << c:
+                raise RuntimeError("a generator acts on the cohits as no involution")
         # assemble (action - identity) columnwise, then feed its rows to the
         # kernel: the fixed space is the null space of the map, not of its
         # transpose
-        rows_of_g: list[list[int]] = [[] for _ in range(q)]
-        for c, m in enumerate(reps):
-            bits = 0
-            for t in _act_exponents(g, m):
-                bits ^= 1 << index[t]
-            for r in ones(cohit_coords(bits) ^ (1 << c)):
-                rows_of_g[r].append(c)
-        for support in rows_of_g:
-            if support:
-                relation_rows.insert_indices(support)
+        rows = [0] * q
+        for c, column in enumerate(columns):
+            for r in ones(column ^ (1 << c)):
+                rows[r] |= 1 << c
+        for row in rows:
+            relation_rows.insert_int(row)
     fixed = relation_rows.kernel()
     return [
         Polynomial([reps[i] for i in ones(vec)], n) for vec in fixed.row_ints()
@@ -269,30 +204,33 @@ class CoinvariantReport(NamedTuple):
 
 
 def _coinvariant_data(n: int, d: int) -> tuple[PrimitiveBasis, EchelonBasis]:
-    """The primitive basis and the echelonized (g - 1) relation space, memoised."""
+    """The primitive basis and the echelonized (g - 1) relation space, memoised.
+
+    The pairing of primitives with cohits is perfect and equivariant, so the
+    relations are the annihilator of the invariants: the primitives that
+    pair to zero with each of them.
+    """
     prim = primitive_basis(n, d)
     p = prim.dimension
 
     def compute() -> EchelonBasis:
-        relations = EchelonBasis(p)
-        if p:
-            pivots = prim.echelon.pivots
-            position = {piv: j for j, piv in enumerate(pivots)}
-            pivot_mask = sum(1 << piv for piv in position)
-            coords = [ones(v) for v in prim.echelon.iter_row_ints()]
-            for g in generators(n):
-                act = _homology_action(g, d)
-                for piv, support in zip(pivots, coords):
-                    image = act(support)
-                    if prim.echelon.reduce_int(image) != 0:
-                        raise RuntimeError(
-                            "group image left the primitive subspace; convention bug"
-                        )
-                    # (g - 1)v = image ^ v, and of the pivots a canonical
-                    # row v has only its own set
-                    w = (image & pivot_mask) ^ (1 << piv)
-                    relations.insert_indices([position[c] for c in ones(w)])
-        return relations
+        from .hit import hold_blocks
+
+        hold_blocks(n, d)  # so invariant_basis finds the blocks and writes none
+        inv = invariant_basis(n, d)
+        rows = EchelonBasis(p)
+        for f in inv:
+            # bit i is <xi_i, f> for the i-th canonical primitive row xi_i
+            bits = _element_bits(f, n, d)
+            rows.insert_int(
+                sum(
+                    ((xi & bits).bit_count() & 1) << i
+                    for i, xi in enumerate(prim.echelon.iter_row_ints())
+                )
+            )
+        if rows.rank != len(inv):
+            raise RuntimeError("the invariants pair dependently with the primitives")
+        return rows.kernel()
 
     return prim, store.cached_coinvariant_relations(n, d, p, compute)
 

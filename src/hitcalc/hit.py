@@ -251,21 +251,25 @@ def hit_basis(n: int, d: int) -> EchelonBasis:
     return _relabel(n, d, lambda k: _block(k, d))
 
 
-def hit_kernel(n: int, d: int) -> EchelonBasis:
-    """The kernel of the canonical hit rows of degree d in n variables.
+def hold_blocks(n: int, d: int) -> dict[int, EchelonBasis]:
+    """The hit echelon of each block P^+_k(d) of P_n(d), keyed by k.
 
-    It is each block's kernel, relabelled.  A block the memory tier holds is
-    reused; the others are eliminated and dropped, never memoised or written.
+    Each is eliminated once and held in the memory tier alone (``store.held``):
+    never loaded or written, and a later ``_block`` finds it there and writes
+    none either.
     """
+    return {
+        k: store.held("hit-plus", k, d, lambda: _block_echelon(k, d))
+        for k in _support_sizes(n, d)
+    }
+
+
+def hit_kernel(n: int, d: int) -> EchelonBasis:
+    """The kernel of the canonical hit rows of degree d in n variables: each
+    held block's kernel (``hold_blocks``), relabelled."""
     _check(n, d)
-
-    def kernel_of(k: int) -> EchelonBasis:
-        block = store.peek("hit-plus", k, d)
-        if block is None:
-            block = _block_echelon(k, d)
-        return block.kernel()
-
-    return _relabel(n, d, kernel_of)
+    blocks = hold_blocks(n, d)
+    return _relabel(n, d, lambda k: blocks[k].kernel())
 
 
 def cohit_basis(n: int, d: int) -> CohitBasis:

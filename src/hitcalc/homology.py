@@ -109,10 +109,17 @@ class PrimitiveBasis(NamedTuple):
         return self.echelon.rank
 
     def elements(self, which: Iterable[int] | None = None) -> list[DElement]:
-        """The basis vectors as d-elements: all, or those at the indices in which."""
-        rows = self.echelon.row_ints()
+        """The basis vectors as d-elements: all, or those at the indices in which.
+
+        Rows are built one at a time and only the asked ones are kept, so a
+        few elements of a large basis cost no copy of every row.
+        """
+        rows = self.echelon.iter_row_ints()
         if which is not None:
-            rows = [rows[j] for j in which]
+            which = list(which)
+            wanted = set(which)
+            kept = {j: row for j, row in enumerate(rows) if j in wanted}
+            rows = [kept[j] for j in which]
         return [_bits_element(row, self.n, self.d) for row in rows]
 
     def contains(self, xi: DElement) -> bool:

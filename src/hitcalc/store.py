@@ -10,8 +10,8 @@ the transposed differential out of a lambda bidegree) and is on only while
 command from ``--cache-dir``, ``--no-cache`` and ``$HITCALC_CACHE``;
 outside a command nothing touches disk.  A command writes the bases it asks
 for and never their intermediates: a primitive space is the kernel of hit
-blocks that it neither memoises nor writes, so a primitive command writes
-one entry.  It does reuse (``peek``) a block the memory tier already holds.
+blocks that it holds in the memory tier alone (``held``), so a primitive
+command writes one entry, and the coinvariant relations reuse those blocks.
 An entry is encoded in memory, so one whose file would exceed the budget
 is skipped with a warning, and so is one that the directory cannot take.
 
@@ -56,7 +56,7 @@ from .steenrod import full_support_count, monomial_count
 __all__ = [
     "CacheEntry",
     "configure",
-    "peek",
+    "held",
     "cache_dir",
     "cache_load",
     "cache_store",
@@ -93,9 +93,17 @@ def configure(directory: Path | None) -> None:
     _memory.clear()
 
 
-def peek(kind: str, n: int, d: int) -> EchelonBasis | None:
-    """The memory tier's basis of kind at (n, d), or None; never computes or loads."""
-    return _memory.get((kind, n, d))
+def held(
+    kind: str, n: int, d: int, compute: Callable[[], EchelonBasis]
+) -> EchelonBasis:
+    """The memory tier's basis of kind at (n, d), put there by compute() on a
+    miss; it never loads or writes a file, and a later fetch of the key finds
+    it in memory and writes none either."""
+    key = (kind, n, d)
+    basis = _memory.get(key)
+    if basis is None:
+        basis = _memory[key] = compute()
+    return basis
 
 
 class CacheEntry(NamedTuple):

@@ -1,16 +1,21 @@
 """Element-level references that the tests check the engine against.
 
 The commands need none of these, so they live here and not in ``hitcalc``:
-the list of the degree-d monomials, the product of GL_n matrices and the
-group that a generating set closes to, the substitution action on one
-polynomial and its adjoint on one d-element, the Peterson-Wood vanishing
-criterion, and Kameko's halving map on monomials and polynomials.
+the list of the degree-d monomials, the product and inverse of GL_n
+matrices and the group that a generating set closes to, the substitution
+action on one polynomial, its adjoint on the d-monomials of one degree and
+the (g - 1) relations of the primitives that the adjoint gives, the
+Peterson-Wood vanishing criterion, and Kameko's halving map on monomials
+and polynomials.
 """
 
 from __future__ import annotations
 
-from hitcalc.glrep import GLMatrix, _act_exponents, _homology_action
-from hitcalc.homology import DElement, _bits_element
+from collections.abc import Iterable
+
+from hitcalc.gf2 import EchelonBasis, ones
+from hitcalc.glrep import GLMatrix, _act_exponents
+from hitcalc.homology import primitive_basis
 from hitcalc.steenrod import Monomial, Polynomial, _tuples, alpha, degree_index
 
 
@@ -36,6 +41,16 @@ def matmul(g: GLMatrix, h: GLMatrix) -> GLMatrix:
     )
 
 
+def inverse(g: GLMatrix) -> GLMatrix:
+    """g^{-1}, read off the canonical rows of [g | 1], which are [1 | g^{-1}]."""
+    n = g.n
+    basis = EchelonBasis(2 * n)
+    for i, row in enumerate(g.entries):
+        basis.insert_int(sum(b << j for j, b in enumerate(row)) | 1 << (n + i))
+    rows = basis.row_ints()
+    return GLMatrix(tuple(tuple(r >> (n + j) & 1 for j in range(n)) for r in rows))
+
+
 def group_closure(gens: list[GLMatrix]) -> set[GLMatrix]:
     """The group that the nonempty list gens generates, by breadth-first closure."""
     seen = {identity(gens[0].n)}
@@ -52,12 +67,36 @@ def act_poly(g: GLMatrix, p: Polynomial) -> Polynomial:
     return Polynomial((t for m in p.terms for t in _act_exponents(g, m)), p.n)
 
 
-def act_homology(g: GLMatrix, xi: DElement) -> DElement:
-    """The adjoint action on a homogeneous nonzero d-element:
-    <g.xi, f> = <xi, g^{-1}.f> for all f."""
-    d = xi.degree
-    index = degree_index(xi.n, d)
-    return _bits_element(_homology_action(g, d)(index[t] for t in xi.terms), xi.n, d)
+def transposed_action(g: GLMatrix, d: int) -> list[int]:
+    """The images of the degree-d d-monomials under g, as bit ints, read off
+    the transpose of the substitution by g^{-1}: <g.xi, f> = <xi, g^{-1}.f>."""
+    ginv = inverse(g)
+    index = degree_index(g.n, d)
+    images = [0] * len(index)
+    for exps, tau in index.items():
+        for t in _act_exponents(ginv, exps):
+            images[index[t]] ^= 1 << tau
+    return images
+
+
+def relation_oracle(n: int, d: int, elements: Iterable[GLMatrix]) -> EchelonBasis:
+    """The span of the (g - 1) images of the degree-d primitives, g in
+    elements, over the primitive basis: the relations the coinvariants divide
+    by, from the transposed substitution and not from the invariants."""
+    prim = primitive_basis(n, d)
+    pivots = prim.echelon.pivots
+    rows = prim.echelon.row_ints()
+    relations = EchelonBasis(prim.dimension)
+    for g in elements:
+        images = transposed_action(g, d)
+        for v in rows:
+            image = 0
+            for sigma in ones(v):
+                image ^= images[sigma]
+            assert prim.echelon.reduce_int(image) == 0, "left the primitives"
+            w = image ^ v
+            relations.insert_indices([j for j, p in enumerate(pivots) if w >> p & 1])
+    return relations
 
 
 # -- the hit problem -------------------------------------------------------------

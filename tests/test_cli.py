@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hitcalc import homology, lambda_algebra
+from hitcalc import glrep, homology, lambda_algebra
 from hitcalc.cli import main, thm21_expected
 from hitcalc.hit import cohit_dim
 from hitcalc.homology import DElement
@@ -83,6 +83,35 @@ class TestQueries:
             4,
             "",
             "internal error: d(2, 2, 1) holds (3, 0, 2, 1): its first index rose\n",
+        )
+
+    def test_an_action_that_is_not_equivariant_is_an_internal_error(
+        self, run, monkeypatch
+    ):
+        # the transvection u_1 -> u_1 + u_2 with Lucas's theorem read backwards:
+        # (u_1 + u_2)^a keeps the terms of even binomial coefficient
+        real, transvection = glrep._act_exponents, glrep.generators(3)[-1]
+
+        def lucas_reversed(g, exps):
+            if g != transvection:
+                return real(g, exps)
+            a, b, c = exps
+            return frozenset((i, a - i + b, c) for i in range(a + 1) if i & ~a)
+
+        monkeypatch.setattr(glrep, "_act_exponents", lucas_reversed)
+        assert run("--no-cache", "coinvariants", "-n", "3", "-d", "9") == (
+            4,
+            "",
+            "internal error: a generator acts on the cohits as no involution\n",
+        )
+
+    def test_dependent_invariants_are_an_internal_error(self, run, monkeypatch):
+        real = glrep.invariant_basis
+        monkeypatch.setattr(glrep, "invariant_basis", lambda n, d: 2 * real(n, d))
+        assert run("--no-cache", "coinvariants", "-n", "3", "-d", "9") == (
+            4,
+            "",
+            "internal error: the invariants pair dependently with the primitives\n",
         )
 
 

@@ -2,39 +2,27 @@ import random
 
 import pytest
 from reference import (
-    act_homology,
     act_poly,
     enumerate_monomials,
     group_closure,
     identity,
+    inverse,
     matmul,
+    relation_oracle,
 )
 
-from hitcalc.gf2 import EchelonBasis, ones
+from hitcalc import glrep, store
 from hitcalc.glrep import (
     GLMatrix,
-    _act_exponents,
-    _homology_action,
+    _coinvariant_data,
     coinvariant_class_nonzero,
     coinvariant_classes,
     generators,
     invariant_basis,
     parse_glmatrix,
 )
-from hitcalc.homology import DElement, pair, primitive_basis, zeta_element
-from hitcalc.steenrod import Polynomial, degree_index, parse_polynomial, sq
-
-
-def transposed_action(g, d):
-    """Reference: the images of the degree-d d-monomials under g, as bit ints,
-    read off the transpose of the substitution by g^{-1}."""
-    ginv = g.inverse()
-    index = degree_index(g.n, d)
-    images = [0] * len(index)
-    for exps, tau in index.items():
-        for t in _act_exponents(ginv, exps):
-            images[index[t]] ^= 1 << tau
-    return images
+from hitcalc.homology import primitive_basis, zeta_element
+from hitcalc.steenrod import Polynomial, parse_polynomial, sq
 
 
 def sample_gl4():
@@ -50,11 +38,11 @@ def sample_gl4():
             out.append(GLMatrix(tuple(tuple(r) for r in rows)))
         except ValueError:  # singular
             continue
-    return out + [g.inverse() for g in out]
+    return out + [inverse(g) for g in out]
 
 
 # The first coinvariant class representative at (4, 18), as computed with the
-# transposed substitution (the action of ``transposed_action``).
+# transposed substitution (the action of ``reference.transposed_action``).
 REP_4_18 = (
     "(3).(3).(9).(3)+(3).(5).(6).(4)+(3).(5).(8).(2)+(3).(5).(9).(1)+"
     "(3).(6).(5).(4)+(3).(6).(6).(3)+(3).(6).(7).(2)+(3).(6).(8).(1)+"
@@ -88,11 +76,11 @@ class TestGLMatrix:
 
     def test_inverse(self):
         g = parse_glmatrix("11;01")
-        assert matmul(g, g.inverse()) == identity(2)
+        assert matmul(g, inverse(g)) == identity(2)
 
     def test_inverse_of_all_gl3_and_a_gl4_sample(self):
         for g in [*group_closure(generators(3)), *sample_gl4()]:
-            assert matmul(g, g.inverse()) == identity(g.n), str(g)
+            assert matmul(g, inverse(g)) == identity(g.n), str(g)
 
     def test_rejects_equal_rows(self):
         with pytest.raises(ValueError, match="matrix is not invertible over F2"):
@@ -155,53 +143,6 @@ class TestActions:
             p = Polynomial(rng.sample(monos, min(3, len(monos))), 3)
             assert act_poly(g, sq(k, p)) == sq(k, act_poly(g, p))
 
-    def test_homology_action_is_adjoint(self):
-        rng = random.Random(41)
-        gens = generators(2)
-        for _ in range(40):
-            g = rng.choice(gens)
-            d = rng.randrange(1, 8)
-            monos = enumerate_monomials(2, d)
-            xi = DElement(
-                (tuple(m) for m in rng.sample(monos, min(3, len(monos)))), 2
-            )
-            f = Polynomial(rng.sample(monos, min(3, len(monos))), 2)
-            assert pair(act_homology(g, xi), f) == pair(xi, act_poly(g.inverse(), f))
-
-
-class TestHomologyAction:
-    """The divided-power action against the transposed polynomial action."""
-
-    @staticmethod
-    def assert_matches(g, d):
-        act = _homology_action(g, d)
-        expected = transposed_action(g, d)
-        assert [act([sigma]) for sigma in range(len(expected))] == expected, (g, d)
-
-    def test_whole_groups_of_rank_two_and_three(self):
-        for n in (2, 3):
-            for g in group_closure(generators(n)):
-                for d in range(13):
-                    self.assert_matches(g, d)
-
-    def test_rank_four_dense_rows(self):
-        sample = sample_gl4()
-        assert any(sum(r) == 4 for g in sample for r in g.entries)
-        for g in sample:
-            for d in range(13):
-                self.assert_matches(g, d)
-
-    def test_primitive_rows_rank_four_degree_23(self):
-        rows = primitive_basis(4, 23).echelon.row_ints()
-        for g in generators(4):
-            act = _homology_action(g, 23)
-            expected = transposed_action(g, 23)
-            for v in rows:
-                image = 0
-                for sigma in ones(v):
-                    image ^= expected[sigma]
-                assert act(ones(v)) == image
-
 
 class TestInvariants:
     def test_rank_two_degree_two(self):
@@ -255,37 +196,43 @@ class TestCoinvariants:
         assert coinvariant_class_nonzero(4, 23, zeta_element("B", 1, 2, 1))
 
 
+def whole_group(n):
+    return group_closure(generators(n)) if n > 1 else [identity(1)]
+
+
+def assert_relations_match(n, d, elements):
+    expected = relation_oracle(n, d, elements).row_ints()
+    assert _coinvariant_data(n, d)[1].row_ints() == expected, (n, d)
+
+
 class TestDuality:
+    """The relations, built as the annihilator of the invariants, against
+    the (g - 1) span of the transposed substitution on the primitives."""
+
     def test_invariants_match_coinvariants(self):
         for n in (1, 2, 3):
             for d in range(0, 16):
-                assert (
-                    len(invariant_basis(n, d))
-                    == coinvariant_classes(n, d).dimension
-                ), (n, d)
+                assert_relations_match(n, d, whole_group(n))
+
+    @pytest.mark.parametrize("n, d", [(4, 18), (4, 23), (4, 35), (5, 21), (5, 27)])
+    def test_generator_relations_match_the_oracle(self, n, d):
+        assert_relations_match(n, d, generators(n))
+
+    def test_the_oracle_sees_a_dropped_transvection(self, monkeypatch):
+        store.configure(None)
+        monkeypatch.setattr(glrep, "generators", lambda n: generators(n)[:-1])
+        try:
+            with pytest.raises(AssertionError, match=r"\(3, 9\)"):
+                assert_relations_match(3, 9, generators(3))
+        finally:
+            store.configure(None)
 
 
 class TestGeneratorSufficiency:
     def test_generators_span_full_group_relations(self):
-        def relation_rank(n, d, elements):
-            prim = primitive_basis(n, d)
-            if prim.dimension == 0:
-                return 0
-            rows = prim.echelon.row_ints()
-            pivots = prim.echelon.pivots
-            rel = EchelonBasis(prim.dimension)
-            for g in elements:
-                act = _homology_action(g, d)
-                for v in rows:
-                    w = act(ones(v)) ^ v
-                    rel.insert_indices(
-                        [j for j, piv in enumerate(pivots) if (w >> piv) & 1]
-                    )
-            return rel.rank
-
         for n in (2, 3):
-            whole = list(group_closure(generators(n)))
+            whole = whole_group(n)
             for d in range(0, 9):
-                assert relation_rank(n, d, generators(n)) == relation_rank(
-                    n, d, whole
+                assert relation_oracle(n, d, generators(n)).rank == (
+                    relation_oracle(n, d, whole).rank
                 ), (n, d)

@@ -237,7 +237,8 @@ class TestCachedWrappers:
 
 
 class TestPrimitiveFromMemoisedHit:
-    """A primitive space reuses hit blocks in memory and never memoises one."""
+    """A primitive space holds its hit blocks in memory and never writes one,
+    and the coinvariant relations reuse them."""
 
     def test_reuses_the_hit_space_in_memory(self, monkeypatch):
         store.configure(None)
@@ -248,12 +249,45 @@ class TestPrimitiveFromMemoisedHit:
         assert primitive_basis(4, 23).echelon.row_ints() == fresh
         store.configure(None)
 
-    def test_leaves_no_hit_space_behind(self):
-        store.configure(None)
-        primitive_basis(3, 9)
-        assert all(store.peek("hit-plus", k, 9) is None for k in range(4))
-        assert store.peek("primitive", 3, 9) is not None
-        store.configure(None)
+    def test_holds_its_blocks_in_memory_and_writes_none(self, tmp_path):
+        store.configure(tmp_path)
+        try:
+            primitive_basis(3, 9)
+            for k in (1, 2, 3):
+                store.held("hit-plus", k, 9, unreachable)
+        finally:
+            store.configure(None)
+        assert [p.name for p in tmp_path.iterdir()] == ["primitive_n3_d9.hpb1"]
+
+    def test_a_coinvariant_command_eliminates_each_block_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # cold, and again with the primitive entry but not the relations
+        args = ["--cache-dir", str(tmp_path), "coinvariants", "-n", "4", "-d", "23"]
+        for rerun in (False, True):
+            if rerun:
+                (tmp_path / "coinvariant_n4_d23.hpb1").unlink()
+            calls = spy(monkeypatch, hit, "_generator_rows")
+            stored = spy(monkeypatch, store, "cache_store")
+            assert main(args) == 0
+            assert capsys.readouterr().out.startswith("dimension 1 (relations rank 154)\n")
+            assert calls == [(k, 23) for k in (1, 2, 3, 4)]
+            kinds = ["coinvariant"] if rerun else ["primitive", "coinvariant"]
+            assert [entry.kind for entry, _ in stored] == kinds
+            monkeypatch.undo()
+
+
+def spy(monkeypatch, module, name):
+    """Wrap module.name so that each call's arguments are recorded in the
+    returned list."""
+    real, calls = getattr(module, name), []
+
+    def call(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, call)
+    return calls
 
 
 def strip_timing(text):
@@ -310,7 +344,7 @@ class TestDiskTraffic:
         monkeypatch.setattr(hit, "_generator_rows", unreachable)
         monkeypatch.setattr(EchelonBasis, "extend", unreachable)
         monkeypatch.setattr(EchelonBasis, "_insert", unreachable)
-        monkeypatch.setattr(glrep, "_homology_action", unreachable)
+        monkeypatch.setattr(glrep, "_act_exponents", unreachable)
         assert main(args) == 0
         out, err = capsys.readouterr()
         assert strip_timing(out) == strip_timing(cold) and err == ""
@@ -344,19 +378,9 @@ def test_no_cache_and_library_calls_stay_off_disk(tmp_path, capsys, monkeypatch)
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == [f"hit_plus_k{k}_d9.hpb1" for k in (1, 2, 3)]
     monkeypatch.setenv(store.ENV_VAR, str(tmp_path))
-    touched = []
-
-    def spy(real):
-        def call(*args):
-            touched.append(args)
-            return real(*args)
-
-        return call
-
-    monkeypatch.setattr(store, "cache_load", spy(store.cache_load))
-    monkeypatch.setattr(store, "cache_store", spy(store.cache_store))
+    loads, stores = (spy(monkeypatch, store, f) for f in ("cache_load", "cache_store"))
     assert main(["--no-cache", "cohit", "-n", "3", "-d", "9"]) == 0
     assert capsys.readouterr().out.startswith("dimension 7\n")
     assert hit_basis(3, 9).rank == 55 - 7  # a library call outside main()
-    assert touched == []
+    assert loads == stores == []
     assert sorted(p.name for p in tmp_path.iterdir()) == written
