@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import store
 from .gf2 import EchelonBasis, ones, quotient_representatives
 from .homology import DElement, PrimitiveBasis, _element_bits, primitive_basis
-from .steenrod import Polynomial, degree_index
+from .steenrod import Polynomial, monomial_rank
 
 __all__ = [
     "GLMatrix",
@@ -149,9 +149,7 @@ def invariant_basis(n: int, d: int) -> list[Polynomial]:
         """The support S of a monomial and its index in P^+_|S|(d)."""
         support = tuple(i for i, e in enumerate(t) if e)
         k = len(support)
-        if not k:  # the unit, the one monomial of P^+_0(0)
-            return support, 0
-        return support, degree_index(k, d - k)[tuple(t[i] - 1 for i in support)]
+        return support, monomial_rank(k, d - k, [t[i] - 1 for i in support])
 
     rep_pos = {locate(m): i for i, m in enumerate(reps)}
 
@@ -251,8 +249,8 @@ def coinvariant_classes(n: int, d: int) -> CoinvariantReport:
 
 def coinvariant_class_nonzero(n: int, d: int, xi: DElement) -> bool:
     """Whether a primitive element has nonzero class in the coinvariants."""
-    prim, relations = _coinvariant_data(n, d)
     bits = _element_bits(xi, n, d)
+    prim, relations = _coinvariant_data(n, d)
     if prim.echelon.reduce_int(bits) != 0:
         raise ValueError("element is not in the primitive subspace")
     coords = sum(1 << j for j, p in enumerate(prim.echelon.pivots) if bits >> p & 1)

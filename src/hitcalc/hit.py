@@ -26,12 +26,15 @@ of all of P_n(d), which the test suite keeps as its oracle.  Cohit
 representatives are the non-pivot monomials of that canonical form under
 the global ascending-lex enumeration, so results are identical across
 runs.
+
+The lex order is ``steenrod``'s: a block's non-pivots are unranked there
+(``monomial_unrank``), and the relabelling walks a block's monomials on
+a support in order, adding up ``steenrod._block_starts``, which is
+cheaper than ranking each placed monomial.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import heapq
 import itertools
 import math
@@ -41,9 +44,11 @@ from . import store
 from .gf2 import EchelonBasis, ones, quotient_representatives
 from .steenrod import (
     Monomial,
+    _block_starts,
     _odd_submasks,
     full_support_count,
     monomial_count,
+    monomial_unrank,
     mu,
 )
 
@@ -72,13 +77,6 @@ def _square_degrees(d: int) -> list[int]:
     """The operation degrees 2^i whose image in degree d can be nonzero."""
     # Sq^k annihilates polynomials of degree < k, so 2k <= d
     return [1 << i for i in range(d.bit_length() - 1)]
-
-
-@functools.lru_cache(maxsize=None)
-def _block_starts(n: int, d: int) -> tuple[int, ...]:
-    """Entry a: lex index of the first degree-d monomial with first exponent a."""
-    counts = (monomial_count(n - 1, d - a) for a in range(d + 1))
-    return tuple(itertools.accumulate(counts, initial=0))
 
 
 def _generator_rows(n: int, d: int) -> Iterator[int]:
@@ -169,19 +167,7 @@ def _support_sizes(n: int, d: int) -> range:
     return range(1, min(n, d) + 1) if d else range(1)  # degree 0: the unit
 
 
-def _unrank(n: int, d: int, j: int) -> list[int]:
-    """The exponents of the j-th monomial of P_n(d) in lex order."""
-    m = []
-    for i in range(n - 1):
-        starts = _block_starts(n - i, d)
-        a = bisect.bisect_right(starts, j) - 1
-        m.append(a)
-        j -= starts[a]
-        d -= a
-    return m + [d] if n else m
-
-
-def _place(n: int, support: tuple[int, ...], lowered: list[int]) -> Monomial:
+def _place(n: int, support: tuple[int, ...], lowered: tuple[int, ...]) -> Monomial:
     """The monomial on support whose exponents there are lowered + 1, the
     member of P^+_k(d) that a monomial of P_k(d - k) stands for."""
     m = [0] * n
@@ -282,7 +268,7 @@ def cohit_basis(n: int, d: int) -> CohitBasis:
     reps = []
     for k in _support_sizes(n, d):
         for f in quotient_representatives(_block(k, d)):
-            lowered = _unrank(k, d - k, f)
+            lowered = monomial_unrank(k, d - k, f)
             for support in itertools.combinations(range(n), k):
                 reps.append(_place(n, support, lowered))
     reps.sort()

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import store
 from .gf2 import EchelonBasis, ones
-from .steenrod import Polynomial, _compositions, _tuples, degree_index
+from .steenrod import Polynomial, _compositions, monomial_rank, monomial_unrank
 from .terms import Term, TermSet
 
 __all__ = [
@@ -108,11 +108,13 @@ class PrimitiveBasis(NamedTuple):
     def dimension(self) -> int:
         return self.echelon.rank
 
-    def elements(self, which: Iterable[int] | None = None) -> list[DElement]:
+    def elements(self, which: Iterable[int] | None = None) -> Iterator[DElement]:
         """The basis vectors as d-elements: all, or those at the indices in which.
 
         Rows are built one at a time and only the asked ones are kept, so a
-        few elements of a large basis cost no copy of every row.
+        few elements of a large basis cost no copy of every row; the
+        elements are built as they are read, so printing them all holds
+        one at a time.
         """
         rows = self.echelon.iter_row_ints()
         if which is not None:
@@ -120,21 +122,28 @@ class PrimitiveBasis(NamedTuple):
             wanted = set(which)
             kept = {j: row for j, row in enumerate(rows) if j in wanted}
             rows = [kept[j] for j in which]
-        return [_bits_element(row, self.n, self.d) for row in rows]
-
-    def contains(self, xi: DElement) -> bool:
-        return self.echelon.reduce_int(_element_bits(xi, self.n, self.d)) == 0
+        return (_bits_element(row, self.n, self.d) for row in rows)
 
 
-def _element_bits(xi: DElement, n: int, d: int) -> int:
-    index = degree_index(n, d)
-    return sum(1 << index[t] for t in xi.terms)
+def _element_bits(xi: TermSet, n: int, d: int) -> int:
+    """The bit row of xi over the lex enumeration of P_n(d).
+
+    A term of another length or degree has no index there, so it raises.
+    """
+    if xi.n != n:
+        raise ValueError("variable count mismatch")
+    bits = 0
+    for t in xi.terms:
+        if sum(t) != d:
+            term = xi.term(t)
+            raise ValueError(f"{term.noun} {term} has degree {term.degree}, not {d}")
+        bits |= 1 << monomial_rank(n, d, t)
+    return bits
 
 
 def _bits_element(bits: int, n: int, d: int) -> DElement:
     """The inverse of ``_element_bits``."""
-    tuples = _tuples(n, d)
-    return DElement((tuples[i] for i in ones(bits)), n)
+    return DElement((monomial_unrank(n, d, i) for i in ones(bits)), n)
 
 
 def primitive_basis(n: int, d: int) -> PrimitiveBasis:

@@ -119,10 +119,6 @@ class LambdaElement(TermSet):
     def length(self) -> int | None:
         return self.n
 
-    @classmethod
-    def from_word(cls, *indices: int) -> "LambdaElement":
-        return cls((indices,))
-
     def __add__(self, other: "LambdaElement") -> "LambdaElement":
         if (
             not self.is_zero()

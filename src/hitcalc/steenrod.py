@@ -11,12 +11,18 @@ composition, no cancellation happens inside a single monomial image.
 
 The ascending lexicographic enumeration of the degree-d monomials defined
 here is the global coordinate system used by every bit row in the package.
+It is held as arithmetic, not as a table: ``monomial_rank`` and
+``monomial_unrank`` map an exponent tuple to its index and back through
+the block starts of ``_block_starts``, whose size grows with d, not with
+the number of monomials.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
-from typing import Callable, Iterator
+import itertools
+from typing import Callable, Iterator, Sequence
 
 from .terms import Term, TermSet
 
@@ -26,8 +32,9 @@ __all__ = [
     "alpha",
     "mu",
     "generic_degree",
-    "degree_index",
     "monomial_count",
+    "monomial_rank",
+    "monomial_unrank",
     "sq",
     "parse_monomial",
     "parse_polynomial",
@@ -105,24 +112,37 @@ def full_support_count(k: int, d: int) -> int:
     return monomial_count(k, d - k) if d >= k else 0
 
 
-def _enumerate_tuples(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        yield (d,)
-        return
-    for e1 in range(d + 1):
-        for rest in _enumerate_tuples(n - 1, d - e1):
-            yield (e1,) + rest
-
-
 @functools.lru_cache(maxsize=None)
-def _tuples(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_enumerate_tuples(n, d))
+def _block_starts(n: int, d: int) -> tuple[int, ...]:
+    """Entry a: lex index of the first degree-d monomial with first exponent a."""
+    counts = (monomial_count(n - 1, d - a) for a in range(d + 1))
+    return tuple(itertools.accumulate(counts, initial=0))
 
 
-@functools.lru_cache(maxsize=64)
-def degree_index(n: int, d: int) -> dict[tuple[int, ...], int]:
-    """Exponent tuple -> index in the ascending-lex degree-d enumeration."""
-    return {t: i for i, t in enumerate(_tuples(n, d))}
+def monomial_rank(n: int, d: int, exps: Sequence[int]) -> int:
+    """The index of u^exps, of degree d, in the lex enumeration of P_n(d).
+
+    The monomials with first exponent a form one block of the enumeration,
+    ordered as P_(n-1)(d - a), so the index is the sum of the starts of the
+    blocks of exps[0], ..., exps[n - 2].
+    """
+    j = 0
+    for i in range(n - 1):
+        j += _block_starts(n - i, d)[exps[i]]
+        d -= exps[i]
+    return j
+
+
+def monomial_unrank(n: int, d: int, j: int) -> tuple[int, ...]:
+    """The exponents of the j-th monomial of P_n(d) in lex order."""
+    m = []
+    for i in range(n - 1):
+        starts = _block_starts(n - i, d)
+        a = bisect.bisect_right(starts, j) - 1
+        m.append(a)
+        j -= starts[a]
+        d -= a
+    return (*m, d) if n else ()
 
 
 # -- Steenrod squares ----------------------------------------------------------

@@ -4,9 +4,10 @@ hit space.
 ``global_generator_rows`` walks the Sq^(2^i) rows over every degree-d
 monomial in n variables, whatever its support, with bit j the j-th monomial
 of the global ascending-lex enumeration, and ``global_hit_echelon`` feeds
-them to one echelon basis.  It shares only ``_block_starts``, the square
-degrees and the submask table with ``hitcalc.hit``, which eliminates one
-full-support block at a time and relabels the blocks into place.
+them to one echelon basis.  It shares with ``hitcalc.hit``, which
+eliminates one full-support block at a time and relabels the blocks into
+place, only the square degrees and, from ``hitcalc.steenrod``, the lex
+block starts ``_block_starts`` and the submask table.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import heapq
 from typing import Iterator
 
 from hitcalc.gf2 import EchelonBasis
-from hitcalc.hit import _block_starts, _square_degrees
-from hitcalc.steenrod import _odd_submasks, monomial_count
+from hitcalc.hit import _square_degrees
+from hitcalc.steenrod import _block_starts, _odd_submasks, monomial_count
 
 
 def global_generator_rows(n: int, d: int) -> Iterator[int]:

@@ -1,7 +1,8 @@
 """Element-level references that the tests check the engine against.
 
 The commands need none of these, so they live here and not in ``hitcalc``:
-the list of the degree-d monomials, the product and inverse of GL_n
+the table of the degree-d monomials and its index, membership in a
+primitive span read through that index, the product and inverse of GL_n
 matrices and the group that a generating set closes to, the substitution
 action on one polynomial, its adjoint on the d-monomials of one degree and
 the (g - 1) relations of the primitives that the adjoint gives, the
@@ -11,17 +12,47 @@ and polynomials.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import functools
+from collections.abc import Iterable, Iterator
 
 from hitcalc.gf2 import EchelonBasis, ones
 from hitcalc.glrep import GLMatrix, _act_exponents
-from hitcalc.homology import primitive_basis
-from hitcalc.steenrod import Monomial, Polynomial, _tuples, alpha, degree_index
+from hitcalc.homology import DElement, PrimitiveBasis, primitive_basis
+from hitcalc.steenrod import Monomial, Polynomial, alpha
+
+
+def _enumerate_tuples(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    if n == 1:
+        yield (d,)
+        return
+    for e1 in range(d + 1):
+        for rest in _enumerate_tuples(n - 1, d - e1):
+            yield (e1,) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def lex_tuples(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent tuples of the degree-d monomials in n >= 1 variables,
+    ascending lex: the table that ``steenrod.monomial_rank`` and
+    ``monomial_unrank`` compute without."""
+    return tuple(_enumerate_tuples(n, d))
+
+
+@functools.lru_cache(maxsize=None)
+def degree_index(n: int, d: int) -> dict[tuple[int, ...], int]:
+    """Exponent tuple -> index in the ascending-lex degree-d enumeration."""
+    return {t: i for i, t in enumerate(lex_tuples(n, d))}
 
 
 def enumerate_monomials(n: int, d: int) -> list[Monomial]:
     """All degree-d monomials in n variables, ascending lex on exponent tuples."""
-    return [Monomial(t) for t in _tuples(n, d)]
+    return [Monomial(t) for t in lex_tuples(n, d)]
+
+
+def in_span(prim: PrimitiveBasis, xi: DElement) -> bool:
+    """Whether xi, a d-element of the basis's degree, lies in its span."""
+    index = degree_index(prim.n, prim.d)
+    return prim.echelon.reduce_int(sum(1 << index[t] for t in xi.terms)) == 0
 
 
 # -- the general linear group ----------------------------------------------------

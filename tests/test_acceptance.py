@@ -2,7 +2,7 @@
 
 Criteria 1-9 run unconditionally; criterion 10 is the documented stretch
 target (rank 5, degree 50 coinvariants) and only runs when HITCALC_HEAVY=1
-is set, since it takes about 159 s at 580 MiB peak RSS on a 2-core VM,
+is set, since it takes about 160 s at 536 MiB peak RSS on a 2-core VM,
 too long for the default suite.
 """
 
@@ -30,10 +30,15 @@ from hitcalc.lambda_algebra import (
     is_boundary,
     normal_form,
 )
-from hitcalc.steenrod import degree_index, sq_exponent_targets
+from hitcalc.steenrod import sq_exponent_targets
 from hitcalc.transfer import class_equal, psi
 from lambda_oracle import oracle_normal_form, relation_element
-from reference import enumerate_monomials, peterson_wood_zero, relation_oracle
+from reference import (
+    degree_index,
+    enumerate_monomials,
+    peterson_wood_zero,
+    relation_oracle,
+)
 
 BUDGET = 2048 << 20
 
@@ -130,7 +135,7 @@ def test_criterion_6_lambda_homology_anchors():
     # agree in the two one-dimensional pinned degrees
     assert homology_dim(4, 23) == 1
     assert homology_dim(5, 50) == 0
-    assert is_boundary(LambdaElement.from_word(0, 1, 3, 15, 31))
+    assert is_boundary(LambdaElement([(0, 1, 3, 15, 31)]))
     verdict(6, "homology anchors at (1,w<=63), (4,23), (4,41), (5,50)", start)
 
 
@@ -168,7 +173,7 @@ def test_criterion_8_kameko_chains():
 def test_criterion_9_lambda_consistency():
     start = time.monotonic()
     for n in range(0, 65):
-        assert differential(differential(LambdaElement.from_word(n))).is_zero(), n
+        assert differential(differential(LambdaElement([(n,)]))).is_zero(), n
     rng = random.Random(2024)
     for _ in range(200):
         word = tuple(rng.randrange(0, 17) for _ in range(rng.randrange(2, 5)))
@@ -194,7 +199,7 @@ def test_criterion_9_lambda_consistency():
 @pytest.mark.skipif(
     os.environ.get("HITCALC_HEAVY") != "1",
     reason="criterion 10 is opt-in: rank-5 degree-50 coinvariants take about "
-    "159 s at 580 MiB peak RSS on a 2-core VM; set HITCALC_HEAVY=1 to run it",
+    "160 s at 536 MiB peak RSS on a 2-core VM; set HITCALC_HEAVY=1 to run it",
 )
 def test_criterion_10_rank5_degree50(heavy_budget):
     start = time.monotonic()

@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 from hit_oracle import global_generator_rows, global_hit_echelon
 from reference import (
+    degree_index,
     enumerate_monomials,
     kameko_down,
     kameko_down_poly,
+    lex_tuples,
     peterson_wood_zero,
 )
 
@@ -28,8 +30,6 @@ from hitcalc.homology import primitive_basis
 from hitcalc.steenrod import (
     Monomial,
     Polynomial,
-    _tuples,
-    degree_index,
     full_support_count,
     monomial_count,
     sq_exponent_targets,
@@ -114,7 +114,7 @@ def test_relabelled_blocks_equal_the_global_elimination():
         assert hit_basis(n, d).row_ints() == whole.row_ints(), (n, d)
         primitives = primitive_basis(n, d).echelon
         assert primitives.row_ints() == whole.kernel().row_ints(), (n, d)
-        tuples = _tuples(n, d)
+        tuples = lex_tuples(n, d)
         assert cohit_basis(n, d).representatives == tuple(
             Monomial(tuples[i]) for i in quotient_representatives(whole)
         ), (n, d)
@@ -127,7 +127,7 @@ def test_cohit_dim_is_the_sum_over_supports(n, d, dim):
     # every exponent >= 1
     plus = []
     for k in range(1, n + 1):
-        tuples = _tuples(k, d)
+        tuples = lex_tuples(k, d)
         reps = quotient_representatives(global_hit_echelon(k, d))
         plus.append(sum(1 for i in reps if all(tuples[i])))
     assert sum(math.comb(n, k) * q for k, q in enumerate(plus, 1)) == dim

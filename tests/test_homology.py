@@ -4,9 +4,10 @@ import math
 import random
 
 import pytest
-from reference import enumerate_monomials
+from reference import degree_index, enumerate_monomials, in_span
 
 from hitcalc.gf2 import EchelonBasis
+from hitcalc.glrep import coinvariant_class_nonzero
 from hitcalc.hit import _square_degrees, cohit_dim
 from hitcalc.homology import (
     DElement,
@@ -22,7 +23,6 @@ from hitcalc.homology import (
 from hitcalc.steenrod import (
     Monomial,
     Polynomial,
-    degree_index,
     sq,
     sq_exponent_targets,
 )
@@ -152,7 +152,7 @@ class TestDualKameko:
             upper = primitive_basis(n, up_degree)
             for e in primitive_basis(n, d).elements():
                 up = DElement((tuple(2 * i + 1 for i in t) for t in e.terms), n)
-                assert upper.contains(up), (n, d)
+                assert in_span(upper, up), (n, d)
 
 
 class TestZeta:
@@ -189,7 +189,7 @@ class TestZeta:
 
     def test_zeta_in_primitive_span(self):
         z = zeta_element("B", 1, 2, 1)
-        assert primitive_basis(4, 23).contains(z)
+        assert in_span(primitive_basis(4, 23), z)
 
 
 class TestFormats:
@@ -245,6 +245,14 @@ class TestFormats:
             (lambda: parse_delement("0"), "cannot infer variable count of the zero element"),
             (lambda: parse_dmonomial("1.2"), "bad d-monomial piece '1'"),
             (lambda: parse_delement("(1).2"), "bad d-monomial piece '2'"),
+            (
+                lambda: coinvariant_class_nonzero(4, 23, delem((1, 1, 1, 1))),
+                "d-monomial (1).(1).(1).(1) has degree 4, not 23",
+            ),
+            (
+                lambda: coinvariant_class_nonzero(4, 23, delem((20, 3))),
+                "variable count mismatch",
+            ),
         ],
     )
     def test_error_texts(self, make, message):

@@ -31,7 +31,7 @@ from lambda_oracle import (
 
 
 def elem(*indices):
-    return LambdaElement.from_word(*indices)
+    return LambdaElement([indices])
 
 
 def bidegree_basis(s, w):

@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import enumerate_monomials
+from reference import enumerate_monomials, lex_tuples
 
 from hitcalc.steenrod import (
     Monomial,
@@ -13,6 +13,8 @@ from hitcalc.steenrod import (
     alpha,
     generic_degree,
     monomial_count,
+    monomial_rank,
+    monomial_unrank,
     mu,
     parse_monomial,
     parse_polynomial,
@@ -78,6 +80,16 @@ class TestArithmetic:
         )
 
 
+@st.composite
+def ranked_pairs(draw):
+    """(n, d, j, j'): two indices into the lex enumeration of P_n(d), which
+    at n = 6, d = 60 has 8,259,888 monomials, far past the tabulated range."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=0, max_value=60))
+    last = monomial_count(n, d) - 1
+    return n, d, draw(st.integers(0, last)), draw(st.integers(0, last))
+
+
 class TestEnumeration:
     def test_single_variable(self):
         assert enumerate_monomials(1, 3) == [mono(3)]
@@ -95,6 +107,27 @@ class TestEnumeration:
         assert monomial_count(n, d) == len(enumerate_monomials(n, d)) == math.comb(
             d + n - 1, n - 1
         )
+
+    def test_rank_and_unrank_match_the_table(self):
+        for n in range(1, 6):
+            for d in range(21):
+                for j, exps in enumerate(lex_tuples(n, d)):
+                    assert monomial_rank(n, d, exps) == j, (n, d, exps)
+                    assert monomial_unrank(n, d, j) == exps, (n, d, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_pairs())
+    @example((1, 0, 0, 0))
+    @example((1, 60, 0, 0))
+    @example((6, 0, 0, 0))
+    @example((6, 60, 0, monomial_count(6, 60) - 1))
+    @example((0, 0, 0, 0))  # the unit, the one monomial of P_0(0)
+    def test_rank_inverts_unrank_beyond_the_table(self, case):
+        n, d, j, other = case
+        exps = monomial_unrank(n, d, j)
+        assert len(exps) == n and sum(exps) == d and all(e >= 0 for e in exps)
+        assert monomial_rank(n, d, exps) == j
+        assert (j < other) == (exps < monomial_unrank(n, d, other))
 
 
 class TestSquares:
