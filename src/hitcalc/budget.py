@@ -34,14 +34,9 @@ def configure(max_bytes: int | None) -> None:
     _max_bytes = DEFAULT_BUDGET if max_bytes is None else max_bytes
 
 
-def fits(needed: int) -> bool:
-    """Whether needed bytes are within the budget."""
-    return needed <= _max_bytes
-
-
 def check_bytes(needed: int) -> None:
     """Raise BudgetError if an echelon basis holding needed bytes exceeds the budget."""
-    if not fits(needed):
+    if needed > _max_bytes:
         need, limit = -(-needed * 10 // 2**20), _max_bytes * 10 // 2**20
         raise BudgetError(
             f"echelon basis needs about {need / 10:.1f} MiB, "

@@ -20,8 +20,9 @@ matrices of the hit problem that makes the stored rows 3-8x smaller (the
 forward rows of the hit space (5, 25) take 5.1 MiB instead of 38.8 MiB);
 the canonical rows of the transposed lambda differential out of (5, 38)
 shrink less, 11.4 to 4.4 MiB.  The row being reduced is shifted down to its
-own lowest bit, below which no reduction step can set one, and every row
-handed out is shifted back first.
+own lowest bit, below which no reduction step can set one.  The rows are
+handed out as held (``shifted_rows``), which is how ``hitcalc.store`` writes
+them and ``from_canonical_rows`` takes them back, or shifted back up.
 
 Insertion order sets the cost of both steps.  :meth:`EchelonBasis.extend`
 inserts a batch of sparse rows in descending order of their lowest
@@ -62,14 +63,14 @@ class EchelonBasis:
     Every stored row is nonzero and has a distinct pivot, and is held as
     ``row >> pivot`` (see the module docstring).  ``insert_int`` reduces the
     new row against the stored ones and reports whether the span grew.
-    ``iter_row_ints``, ``row_ints``, ``kernel`` and ``==`` see the canonical
-    reduced form, which depends only on the span, not on insertion order;
-    the first two hand out absolute ints.  This is the one place the
+    ``shifted_rows``, ``iter_row_ints``, ``row_ints``, ``kernel`` and ``==``
+    see the canonical reduced form, which depends only on the span, not on
+    insertion order; ``shifted_rows`` hands it out as held and the next two
+    as absolute ints.  This is the one place the
     budget (``hitcalc.budget``) is charged, with no up-front estimate: a
     refusal comes once the ``getsizeof`` total of the shifted row ints held
     crosses it, checked per insert, after the canonical form rewrites (and
-    may grow) the rows, and once for a basis built by ``from_canonical_rows``
-    or ``from_shifted_rows``.
+    may grow) the rows, and once for a basis built by ``from_canonical_rows``.
     """
 
     def __init__(self, ambient_length: int):
@@ -83,45 +84,29 @@ class EchelonBasis:
 
     @classmethod
     def from_canonical_rows(
-        cls, ambient_length: int, rows: Sequence[int]
-    ) -> "EchelonBasis | None":
-        """The basis whose ``row_ints()`` are rows, or None if rows are not a
-        canonical RREF: each row positive with no bit at or past
-        ambient_length, pivots strictly increasing, and no row with a one at
-        another row's pivot.
-
-        One pass from the last row down checks all three with no elimination:
-        a row can only hold the pivots of the rows after it.
-        """
-        shifted: dict[int, int] = {}
-        mask = 0  # the pivots of the rows after the current one
-        for row in reversed(rows):
-            if row <= 0 or row >> ambient_length:
-                return None
-            low = row & -row
-            # every later pivot lies above this one, and this row misses them
-            if (row | (low - 1)) & mask:
-                return None
-            p = low.bit_length() - 1
-            shifted[p] = row >> p
-            mask |= low
-        return cls.from_shifted_rows(ambient_length, shifted)
-
-    @classmethod
-    def from_shifted_rows(
         cls, ambient_length: int, rows: dict[int, int]
-    ) -> "EchelonBasis":
-        """The basis holding rows, pivot p -> row >> p, as its canonical form.
+    ) -> "EchelonBasis | None":
+        """The basis holding rows, pivot p -> row >> p, as its canonical form,
+        or None if they are not one: each row odd, each ending below
+        ambient_length, and none with a one at a later pivot.
 
-        Nothing is checked: the caller has rows that are canonical.  The
-        budget is charged once, for the shifted rows.
+        Two passes check all three with no elimination: one sets the pivot
+        mask, and in the other the mask shifted down to a row's pivot meets
+        the row at bit 0 alone.  The basis keeps rows, and the budget is
+        charged once, for the shifted rows.
         """
-        out = cls(ambient_length)
         mask = bytearray(ambient_length // 8 + 1)
-        for p in rows:
+        for p, row in rows.items():
+            if p < 0 or row < 0 or p + row.bit_length() > ambient_length:
+                return None
             mask[p >> 3] |= 1 << (p & 7)
+        pivots = int.from_bytes(mask, "little")
+        for p, row in rows.items():
+            if row & (pivots >> p) != 1:  # even, or a one at a later pivot
+                return None
+        out = cls(ambient_length)
         out._rows = rows
-        out._pivot_mask = int.from_bytes(mask, "little")
+        out._pivot_mask = pivots
         out._bytes = sum(map(getsizeof, rows.values()))
         check_bytes(out._bytes)
         return out
@@ -135,6 +120,13 @@ class EchelonBasis:
     @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self._rows))
+
+    def shifted_rows(self) -> dict[int, int]:
+        """The canonical rows as held, pivot p -> row >> p, in increasing
+        pivot order: the inverse of ``from_canonical_rows``."""
+        self._canonicalize()
+        rows = self._rows
+        return {p: rows[p] for p in sorted(rows)}
 
     def iter_row_ints(self) -> Iterator[int]:
         """Canonical rows as ints, ordered by increasing pivot, built one at a time.

@@ -212,7 +212,7 @@ def _relabel(n: int, d: int, block_of: Callable[[int], EchelonBasis]) -> Echelon
 
     Placing keeps the order of coordinates, so a row's pivot stays its
     lowest bit, and rows on disjoint supports share no coordinate: the
-    union is canonical.
+    union is canonical, and a RuntimeError says if it ever is not.
     """
     rows: dict[int, int] = {}
     for k in _support_sizes(n, d):
@@ -225,7 +225,10 @@ def _relabel(n: int, d: int, block_of: Callable[[int], EchelonBasis]) -> Echelon
                 coords = [index[i] for i in ones(row)]
                 p = coords[0]
                 rows[p] = sum(1 << (c - p) for c in coords)
-    return EchelonBasis.from_shifted_rows(monomial_count(n, d), rows)
+    basis = EchelonBasis.from_canonical_rows(monomial_count(n, d), rows)
+    if basis is None:
+        raise RuntimeError(f"the relabelled hit blocks of P_{n}({d}) are not canonical")
+    return basis
 
 
 def hit_basis(n: int, d: int) -> EchelonBasis:

@@ -157,9 +157,7 @@ def _pair_nf(s: int, k: int) -> frozenset[tuple[int, int]]:
 
 
 def _settle(
-    reduced: list[tuple[int, ...]],
-    pending: list[tuple[tuple[int, ...], int, int]],
-    step_budget: int = NORMAL_FORM_STEP_BUDGET,
+    reduced: list[tuple[int, ...]], pending: list[tuple[tuple[int, ...], int, int]]
 ) -> frozenset[tuple[int, ...]]:
     """The words of odd multiplicity in ``reduced`` once every pending word
     is rewritten into it.
@@ -179,9 +177,9 @@ def _settle(
             emit(w)
             continue
         steps += 1
-        if steps > step_budget:
+        if steps > NORMAL_FORM_STEP_BUDGET:
             raise TerminationGuardError(
-                f"normal form exceeded {step_budget} rewriting steps"
+                f"normal form exceeded {NORMAL_FORM_STEP_BUDGET} rewriting steps"
             )
         head, tail = w[:i], w[i + 2 :]
         lo = i - 1 if i else 0
@@ -195,10 +193,7 @@ def _settle(
     return frozenset(w for w, c in Counter(reduced).items() if c & 1)
 
 
-def normal_form(
-    e: LambdaElement,
-    step_budget: int = NORMAL_FORM_STEP_BUDGET,
-) -> LambdaElement:
+def normal_form(e: LambdaElement) -> LambdaElement:
     """Rewrite until no adjacent pair (a, b) with a > 2b remains.
 
     Idempotent; the result does not depend on which bad pair is rewritten
@@ -206,7 +201,7 @@ def normal_form(
     the left and from the right).
     """
     pending = [(w, 0, len(w) - 2) for w in e.terms]
-    return LambdaElement(_settle([], pending, step_budget))
+    return LambdaElement(_settle([], pending))
 
 
 # -- the differential ------------------------------------------------------------
@@ -300,7 +295,6 @@ def _reduced_words(
     return found
 
 
-@functools.lru_cache(maxsize=256)
 def bidegree_basis_tuples(s: int, w: int) -> tuple[tuple[int, ...], ...]:
     """The reduced words of length s and weight w, in ascending lex order,
     built first index first with no sort."""

@@ -1,4 +1,4 @@
-"""The one memo of the expensive bases: a memory tier and an HPB1 disk tier.
+"""The one memo of the expensive bases: a memory tier and an HPB2 disk tier.
 
 Every memoised value is keyed by (kind, n, d).  The memory tier is always
 on and serves library calls; ``configure`` empties it.  The disk tier holds
@@ -12,13 +12,12 @@ outside a command nothing touches disk.  A command writes the bases it asks
 for and never their intermediates: a primitive space is the kernel of hit
 blocks that it holds in the memory tier alone (``held``), so a primitive
 command writes one entry, and the coinvariant relations reuse those blocks.
-An entry is encoded in memory, so one whose file would exceed the budget
-is skipped with a warning, and so is one that the directory cannot take.
+An entry that the directory cannot take is skipped with a warning.
 
-HPB1 layout, all little-endian:
+HPB2 layout, all little-endian:
 
-    magic   4s   b"HPB1"
-    version u16  2
+    magic   4s   b"HPB2"
+    version u16  1
     kind    u8   2 = primitive, 3 = lambda-bidegree, 4 = coinvariant,
                  5 = lambda-differential, 6 = hit-plus (1, whole hit
                  spaces, is retired)
@@ -27,16 +26,24 @@ HPB1 layout, all little-endian:
     m       u64  ambient coordinate count (for coinvariant: the primitive
                  dimension p, the relations being over the primitive basis)
     r       u64  rank
-    rows    r * ceil(m / 64) u64 words
+    rows    r records in strictly increasing pivot order, each
+              pivot  u32  p
+              size   u32  the byte length of row >> p
+              bytes        row >> p
     crc     u32  zlib.crc32 of everything before it
 
-Rows are the canonical echelon rows in pivot order, so a load/store round
-trip is byte-identical.  Stores are atomic (temp file + rename); loads
-validate the header, the shape and the checksum, and check that the rows
-are the canonical form (``EchelonBasis.from_canonical_rows``) without
-re-eliminating them, decoding one row at a time from the file's bytes.
-They report a miss, with a warning, on any defect or an m other than the
-one asked for, so a corrupt cache can cost time but never correctness.
+The rows are the canonical echelon rows exactly as ``EchelonBasis`` holds
+them (``shifted_rows``), so a store or a load moves no row between formats
+and a load/store round trip is byte-identical.  A record takes 8 bytes and
+the row's bytes, less than the ``getsizeof`` of the row int that the budget
+charged, so a file never exceeds the basis's charged bytes by more than the
+35 bytes of header and checksum.  Stores are atomic (temp file + rename).
+Loads check the header and the checksum, read the records in one bounded
+pass, and hand them to ``EchelonBasis.from_canonical_rows``, which checks
+that they are the canonical form without re-eliminating them.  They report
+a miss, with a warning, on any defect or an m other than the one asked
+for, so a corrupt cache can cost time but never correctness.  Files of the
+retired HPB1 format (``*.hpb1``) are never read and may be deleted.
 """
 
 from __future__ import annotations
@@ -45,11 +52,9 @@ import os
 import struct
 import sys
 import zlib
-from collections.abc import Sequence
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
-from .budget import fits
 from .gf2 import EchelonBasis
 from .steenrod import full_support_count, monomial_count
 
@@ -67,9 +72,10 @@ __all__ = [
     "cached_coinvariant_relations",
 ]
 
-MAGIC = b"HPB1"
-VERSION = 2
+MAGIC = b"HPB2"
+VERSION = 1
 _HEADER = struct.Struct("<4sHBIIQQ")
+_RECORD = struct.Struct("<II")  # a row's pivot and byte length
 _KINDS = {  # kind 1 held whole hit spaces; it is retired, not reused
     "primitive": 2,
     "lambda-bidegree": 3,
@@ -107,45 +113,14 @@ def held(
 
 
 class CacheEntry(NamedTuple):
-    """One basis file: its key, its coordinate count m and its canonical rows.
-
-    ``decode`` gives the rows as a sequence that decodes each row when it is
-    read.  An entry to be stored may carry any iterable of them, such as
-    ``EchelonBasis.iter_row_ints()``, so that no dense copy of every row is
-    built; ``encode`` reads it once.
-    """
+    """One basis file: its key, its coordinate count m and its canonical
+    rows as ``EchelonBasis`` holds them, pivot p -> row >> p."""
 
     kind: str
     n: int
     d: int
     m: int
-    rows: Iterable[int]
-
-
-class _Rows(Sequence[int]):
-    """The r rows of a checked HPB1 blob, each decoded as it is read.
-
-    Only the blob is held, so a load holds no tuple of every absolute row
-    beside the file's bytes while ``EchelonBasis.from_canonical_rows`` shifts
-    them, last row first.
-    """
-
-    def __init__(self, blob: bytes | bytearray, width: int, r: int):
-        self._view = memoryview(blob)[_HEADER.size : _HEADER.size + r * width]
-        self._width = width
-        self._r = r
-
-    def __len__(self) -> int:
-        return self._r
-
-    def __getitem__(self, i: int) -> int:  # type: ignore[override]
-        if not 0 <= i < self._r:
-            raise IndexError("row index out of range")
-        off = i * self._width
-        return int.from_bytes(self._view[off : off + self._width], "little")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+    rows: dict[int, int]
 
 
 def cache_dir(override: str | None = None) -> Path:
@@ -154,43 +129,51 @@ def cache_dir(override: str | None = None) -> Path:
 
 def _filename(kind: str, n: int, d: int) -> str:
     if kind == "hit-plus":
-        return f"hit_plus_k{n}_d{d}.hpb1"
+        return f"hit_plus_k{n}_d{d}.hpb2"
     if kind == "lambda-bidegree":
-        return f"lambda_s{n}_w{d}.hpb1"
+        return f"lambda_s{n}_w{d}.hpb2"
     if kind == "lambda-differential":
-        return f"lambda_d_s{n}_w{d}.hpb1"
-    return f"{kind}_n{n}_d{d}.hpb1"
-
-
-def _encoded_size(m: int, r: int) -> int:
-    return _HEADER.size + r * max(1, (m + 63) // 64) * 8 + 4
+        return f"lambda_d_s{n}_w{d}.hpb2"
+    return f"{kind}_n{n}_d{d}.hpb2"
 
 
 def encode(entry: CacheEntry) -> bytearray:
-    width = max(1, (entry.m + 63) // 64) * 8
-    blob = bytearray(_HEADER.size)  # packed once the rows are counted
-    rank = 0
-    for row in entry.rows:
-        blob += row.to_bytes(width, "little")
-        rank += 1
-    _HEADER.pack_into(
-        blob, 0, MAGIC, VERSION, _KINDS[entry.kind], entry.n, entry.d, entry.m, rank
-    )
+    rows = entry.rows
+    head = (MAGIC, VERSION, _KINDS[entry.kind], entry.n, entry.d, entry.m, len(rows))
+    blob = bytearray(_HEADER.pack(*head))
+    for p in sorted(rows):
+        row = rows[p]
+        size = (row.bit_length() + 7) // 8
+        blob += _RECORD.pack(p, size)
+        blob += row.to_bytes(size, "little")
     blob += zlib.crc32(blob).to_bytes(4, "little")
     return blob
 
 
 def decode(blob: bytes | bytearray) -> CacheEntry | None:
-    if len(blob) < _HEADER.size:
+    end = len(blob) - 4  # where the checksum starts
+    if end < _HEADER.size:
         return None
     magic, version, kind, n, d, m, r = _HEADER.unpack_from(blob)
     if magic != MAGIC or version != VERSION or kind not in _KIND_NAMES:
         return None
-    if len(blob) != _encoded_size(m, r):
+    view = memoryview(blob)
+    if zlib.crc32(view[:end]) != int.from_bytes(view[end:], "little"):
         return None
-    if zlib.crc32(memoryview(blob)[:-4]) != int.from_bytes(blob[-4:], "little"):
+    rows: dict[int, int] = {}
+    off, last = _HEADER.size, -1
+    for _ in range(r):  # each record takes 8 bytes or more, so this is bounded
+        if off + _RECORD.size > end:
+            return None
+        p, size = _RECORD.unpack_from(blob, off)
+        off += _RECORD.size
+        if p <= last or off + size > end:
+            return None
+        rows[p] = int.from_bytes(view[off : off + size], "little")
+        off += size
+        last = p
+    if off != end:
         return None
-    rows = _Rows(blob, max(1, (m + 63) // 64) * 8, r)
     return CacheEntry(_KIND_NAMES[kind], n, d, m, rows)
 
 
@@ -232,7 +215,7 @@ def _fetch_echelon(
     the rows into the basis as they are, checked but never re-eliminated; an
     entry of another m or not in canonical form is a miss.  On a miss, or
     with the tier off, compute() runs, and a disk tier that is on gets the
-    result if its file fits the budget and can be written.
+    result if its file can be written.
     """
     key = (kind, n, d)
     basis = _memory.get(key)
@@ -249,18 +232,11 @@ def _fetch_echelon(
     if basis is None:
         basis = compute()
         if directory is not None:
-            size = _encoded_size(m, basis.rank)
-            if fits(size):
-                entry = CacheEntry(kind, n, d, m, basis.iter_row_ints())
-                try:
-                    cache_store(entry, directory)
-                except OSError as exc:  # a directory that cannot be made or written
-                    print(f"warning: not caching {path}: {exc}", file=sys.stderr)
-            else:
-                print(
-                    f"warning: not caching {path}: its {size:,} bytes exceed the budget",
-                    file=sys.stderr,
-                )
+            entry = CacheEntry(kind, n, d, m, basis.shifted_rows())
+            try:
+                cache_store(entry, directory)
+            except OSError as exc:  # a directory that cannot be made or written
+                print(f"warning: not caching {path}: {exc}", file=sys.stderr)
     _memory[key] = basis
     return basis
 

@@ -149,7 +149,7 @@ def test_a_cache_that_cannot_be_written_only_warns(run, tmp_path, monkeypatch, v
     lines = err.splitlines()
     assert len(lines) == 3
     for k, line in enumerate(lines, 1):
-        path = blocked / f"hit_plus_k{k}_d9.hpb1"
+        path = blocked / f"hit_plus_k{k}_d9.hpb2"
         assert line.startswith(f"warning: not caching {path}: ")
     assert not blocked.exists()
 

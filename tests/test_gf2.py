@@ -326,6 +326,11 @@ class TestAgainstEagerOracle:
         assert (one == EchelonBasis(width)) == (not expected)
 
 
+def shifted(rows):
+    """Absolute rows as EchelonBasis holds them, pivot p -> row >> p."""
+    return {(v & -v).bit_length() - 1: v >> (v & -v).bit_length() - 1 for v in rows}
+
+
 class TestFromCanonicalRows:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -337,34 +342,53 @@ class TestFromCanonicalRows:
         for v in bits:
             packed.insert_int(v)
         expected = eager_rref(bits)
-        loaded = EchelonBasis.from_canonical_rows(200, tuple(expected))
+        held = packed.shifted_rows()
+        assert held == shifted(expected) and list(held) == sorted(held)
+        loaded = EchelonBasis.from_canonical_rows(200, held)
         assert loaded is not None and loaded == packed
         assert loaded.rank == len(expected)
         assert loaded.row_ints() == expected
         assert loaded.reduce_int(probe) == eager_reduce(expected, probe)
         assert loaded.kernel().row_ints() == eager_kernel(expected, 200)
 
-    # over five coordinates a short random list is often canonical already
+    # over five coordinates a small random map is often canonical already
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=4))
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=6),
+            st.integers(min_value=0, max_value=(1 << 6) - 1),
+            max_size=4,
+        )
+    )
     def test_accepts_exactly_the_canonical_rows(self, rows):
-        # bit 5 is past the five coordinates, so the oracle over six keeps it
-        canonical = rows == eager_rref(rows) and not any(v >> 5 for v in rows)
-        loaded = EchelonBasis.from_canonical_rows(5, rows)
+        # each row held under its pivot, and the absolute rows, by pivot,
+        # the RREF over five coordinates (the oracle over more keeps bit 5)
+        absolute = [rows[p] << p for p in sorted(rows)]
+        canonical = (
+            all(v & 1 for v in rows.values())
+            and absolute == eager_rref(absolute)
+            and not any(v >> 5 for v in absolute)
+        )
+        loaded = EchelonBasis.from_canonical_rows(5, dict(rows))
         assert (loaded is not None) == canonical
         if loaded is not None:
-            assert loaded.row_ints() == rows
+            assert loaded.row_ints() == absolute
+            assert loaded.shifted_rows() == rows
 
     @pytest.mark.parametrize(
         "rows",
         [
-            pytest.param((0b001, 0), id="zero-row"),
-            pytest.param((0b1000,), id="bit-at-m"),
-            pytest.param((0b10000001,), id="bit-past-m"),
-            pytest.param((-0b10,), id="negative"),
-            pytest.param((0b100, 0b010), id="pivots-out-of-order"),
-            pytest.param((0b010, 0b010), id="pivot-twice"),
-            pytest.param((0b011, 0b010), id="holds-a-later-pivot"),
+            pytest.param({0: 0b1, 1: 0}, id="zero-row"),
+            pytest.param({3: 0b1}, id="bit-at-m"),
+            pytest.param({0: 0b10000001}, id="bit-past-m"),
+            pytest.param({1: -0b1}, id="negative"),
+            pytest.param({-1: 0b1}, id="negative-pivot"),
+            # a row held under a pivot below its lowest bit: 0b100 under 0
+            pytest.param({0: 0b100}, id="pivots-out-of-order"),
+            # coordinate 1 twice, under pivots 0 and 1
+            pytest.param({0: 0b10, 1: 0b1}, id="pivot-twice"),
+            pytest.param({0: 0b11, 1: 0b1}, id="holds-a-later-pivot"),
+            pytest.param({0: 0b101, 2: 0b1}, id="holds-a-pivot-two-above"),
         ],
     )
     def test_rejects(self, rows):
@@ -372,10 +396,11 @@ class TestFromCanonicalRows:
 
     def test_charges_the_shifted_rows_once(self, limit):
         top = 10**6
-        rows = tuple(1 << (top - 10 + i) for i in range(10))  # one bit each, shifted
+        rows = {top - 10 + i: 1 for i in range(10)}  # one bit each, shifted
         limit(10 * sys.getsizeof(1))
-        loaded = EchelonBasis.from_canonical_rows(top, rows)
-        assert loaded is not None and loaded.row_ints() == list(rows)
+        loaded = EchelonBasis.from_canonical_rows(top, dict(rows))
+        assert loaded is not None
+        assert loaded.row_ints() == [1 << p for p in rows]
         limit(10 * sys.getsizeof(1) - 1)
         with pytest.raises(BudgetError, match="echelon basis"):
-            EchelonBasis.from_canonical_rows(top, rows)
+            EchelonBasis.from_canonical_rows(top, dict(rows))

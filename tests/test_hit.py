@@ -13,8 +13,9 @@ from reference import (
     peterson_wood_zero,
 )
 
-from hitcalc import budget, store
+from hitcalc import budget, hit, store
 from hitcalc.budget import BudgetError
+from hitcalc.cli import main
 from hitcalc.gf2 import EchelonBasis, quotient_representatives
 from hitcalc.hit import (
     _generator_rows,
@@ -119,6 +120,17 @@ def test_relabelled_blocks_equal_the_global_elimination():
             Monomial(tuples[i]) for i in quotient_representatives(whole)
         ), (n, d)
     store.configure(None)
+
+
+def test_a_relabelled_union_that_is_not_canonical_is_an_internal_error(
+    monkeypatch, capsys
+):
+    # rows placed past the coordinates of P_3(9) fail the canonical check
+    monkeypatch.setattr(hit, "monomial_count", lambda n, d: 1)
+    assert main(["--no-cache", "primitives", "-n", "3", "-d", "9"]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: the relabelled hit blocks of P_3(9) are not canonical\n"
+    )
 
 
 @pytest.mark.parametrize("n, d, dim", [(5, 21, 840), (5, 25, 1240), (4, 35, 120)])

@@ -138,9 +138,11 @@ class TestNormalForm:
     def test_minus_one_kills_word(self):
         assert elem(3, -1, 2).is_zero()
 
-    def test_step_budget_guard(self):
+    def test_step_budget_guard(self, monkeypatch):
+        # the guard reads the constant at call time
+        monkeypatch.setattr(lambda_algebra, "NORMAL_FORM_STEP_BUDGET", 2)
         with pytest.raises(TerminationGuardError):
-            normal_form(elem(40, 0, 0, 0), step_budget=2)
+            normal_form(elem(40, 0, 0, 0))
 
 
 class TestDifferential:
