@@ -18,11 +18,12 @@ of every stored int is its pivot and the int is sized by the row's span
 above the pivot, not by its highest coordinate.  On the quasi-triangular
 matrices of the hit problem that makes the stored rows 3-8x smaller (the
 forward rows of the hit space (5, 25) take 5.1 MiB instead of 38.8 MiB);
-the canonical rows of the transposed lambda differential out of (5, 38)
-shrink less, 11.4 to 4.4 MiB.  The row being reduced is shifted down to its
-own lowest bit, below which no reduction step can set one.  The rows are
-handed out as held (``shifted_rows``), which is how ``hitcalc.store`` writes
-them and ``from_canonical_rows`` takes them back, or shifted back up.
+the canonical rows of the transposed lambda differential out of (5, 38),
+all unit rows, take 0.26 MiB instead of 7.3 MiB.  The row being
+reduced is shifted down to its own lowest bit, below which no reduction
+step can set one.  The rows are handed out as held (``shifted_rows``),
+which is how ``hitcalc.store`` writes them and ``from_canonical_rows``
+takes them back, or shifted back up.
 
 Insertion order sets the cost of both steps.  :meth:`EchelonBasis.extend`
 inserts a batch of sparse rows in descending order of their lowest

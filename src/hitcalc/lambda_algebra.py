@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter, defaultdict
-from operator import itemgetter
 from typing import Iterable
 
 from . import store
@@ -317,19 +316,49 @@ def boundary_echelon(s: int, w: int) -> EchelonBasis:
     def compute() -> EchelonBasis:
         sources = bidegree_basis_tuples(s - 1, w + 1) if s >= 1 else ()
         index = {t: i for i, t in enumerate(bidegree_basis_tuples(s, w))}
+        rows = []
+        for u in sources:
+            try:
+                rows.append([index[t] for t in _differential_words((u,))])
+            except KeyError as stray:
+                raise RuntimeError(
+                    f"d{u} holds {stray.args[0]}, not a word of bidegree ({s}, {w})"
+                ) from None
         basis = EchelonBasis(len(index))
-        basis.extend([index[t] for t in _differential_words((u,))] for u in sources)
+        basis.extend(rows)
         return basis
 
     return store.cached_boundary_echelon(s, w, compute)
 
 
+def _top_coordinates(basis: EchelonBasis) -> set[int]:
+    """The highest set coordinates of the nonzero vectors of a span: the
+    pivots of its echelon form by highest bit, one per unit of rank."""
+    tops: dict[int, int] = {}
+    for p, row in basis.shifted_rows().items():
+        row <<= p
+        while (top := row.bit_length() - 1) in tops:
+            row ^= tops[top]
+        tops[top] = row
+    return set(tops)
+
+
 def differential_echelon(s: int, w: int) -> EchelonBasis:
-    """Echelon basis of the transpose of d: (s, w) -> (s + 1, w - 1).
+    """Echelon basis of the transpose of d: (s, w) -> (s + 1, w - 1), with
+    the boundaries' top coordinates dropped.
 
     One row per target word, over the (s, w) enumeration: the sources whose
     differential holds it.  Same rank as ``boundary_echelon(s + 1, w - 1)``,
     but over the (s, w) words, typically several times fewer.
+
+    The highest set coordinate of each kernel vector that ``kernel`` reads
+    off the canonical rows is a non-pivot column, so the highest set
+    coordinates of ker d are exactly the non-pivot columns.  The boundaries
+    into (s, w) lie in ker d, as d o d = 0, so their highest set coordinates
+    (``rank`` of them) are non-pivot columns too.  Deleting non-pivot
+    columns keeps every canonical row's pivot, so those sources are skipped
+    before their differential is computed, and the rank does not change.
+    The basis is the canonical form over the columns that are left.
 
     Each source's differential is its Leibniz terms, of which only those
     with a bad left junction, w[r-1] > 2(j-1), are rewritten: the replaced
@@ -342,11 +371,15 @@ def differential_echelon(s: int, w: int) -> EchelonBasis:
     with a > 2b gives first index a + b - j < a, as j >= ceil(a/2) > b.
     The sources are walked in descending lex order, one first-index group
     at a time; once the group of first index a is done, no source left can
-    reach a target of first index a or more, so those rows are complete
-    and are inserted and freed.  A row lists its sources in descending
-    order, so its last is its lowest: the row int is built shifted down to
-    it and shifted up once.  Every target is checked against its source's
-    first index, and a target above it raises ``RuntimeError``.
+    reach a target of first index a or more, so those rows are complete and
+    are peeled (LaMacchia-Odlyzko, CRYPTO '90): a row with one live source
+    makes that source a pivot with a unit canonical row, so the source is
+    removed from every waiting row, and a row that falls to one live source
+    is peeled in turn.  Only rows with two or more live sources wait.  Those
+    left at the end hold no peeled source, so their canonical rows and the
+    unit rows together are canonical, and ``from_canonical_rows`` takes
+    them with no further elimination.  Every target is checked against its
+    source's first index, and a target above it raises ``RuntimeError``.
     """
 
     def compute() -> EchelonBasis:
@@ -355,36 +388,62 @@ def differential_echelon(s: int, w: int) -> EchelonBasis:
         _check_word_cap(s, w)
         _check_word_cap(s + 1, w - 1)
         sources = bidegree_basis_tuples(s, w)
-        basis = EchelonBasis(len(sources))
+        dead = bytearray(len(sources))  # 1 for a dropped or a peeled source
+        for f in _top_coordinates(boundary_echelon(s, w)):
+            dead[f] = 1
+        units: list[int] = []  # the peeled sources
+        # a live source -> the waiting rows that hold it; a waiting row lists
+        # its live sources, and is freed once the last of them is peeled
+        waiting: dict[int, list[list[int]]] = defaultdict(list)
         # first index -> target word -> its sources, for the targets still open
         open_rows: dict[int, dict[tuple[int, ...], list[int]]]
         open_rows = defaultdict(lambda: defaultdict(list))
 
         def flush(bound: int) -> None:
-            done = [f for f in open_rows if f >= bound]
-            rows = [row for f in done for row in open_rows.pop(f).values()]
-            # each row lists its sources descending, so row[-1] is its lowest;
-            # rows go in by descending lowest source, as ``extend`` orders them
-            # (``insert`` is ``insert_int``, by the name the tracer counts)
-            rows.sort(key=itemgetter(-1), reverse=True)
-            for row in rows:
-                low = row[-1]
-                bits = 0
-                for k in row:
-                    bits |= 1 << (k - low)
-                basis.insert(bits << low)
+            singles = []
+            for f in [f for f in open_rows if f >= bound]:
+                for row in open_rows.pop(f).values():
+                    live = [k for k in row if not dead[k]]
+                    if len(live) == 1:
+                        singles.append(live[0])
+                    elif live:
+                        for k in live:
+                            waiting[k].append(live)
+            while singles:
+                k = singles.pop()
+                if dead[k]:
+                    continue
+                dead[k] = 1
+                units.append(k)
+                for row in waiting.pop(k, ()):
+                    row.remove(k)
+                    if len(row) == 1:
+                        singles.append(row[0])
 
         i = len(sources)
         # the empty word (s = 0) has no first index, but reaches no target
         for a, group in itertools.groupby(reversed(sources), lambda u: u[0] if u else 0):
             for source in group:
                 i -= 1
+                if dead[i]:
+                    continue
                 for t in _differential_words((source,)):
                     if t[0] > a:
                         raise RuntimeError(f"d{source} holds {t}: its first index rose")
                     open_rows[t[0]][t].append(i)
             flush(a)
         flush(0)  # targets below every source's first index, such as (0, 1)
+        # a row left waiting is listed under each of its live sources
+        left = {id(row): row for rows in waiting.values() for row in rows}
+        rest = EchelonBasis(len(sources))
+        rest.extend(left.values())
+        # no row left holds a peeled source, so with the unit rows it is canonical
+        rows = dict.fromkeys(units, 1) | rest.shifted_rows()
+        basis = EchelonBasis.from_canonical_rows(len(sources), rows)
+        if basis is None:
+            raise RuntimeError(
+                f"the transposed differential out of ({s}, {w}) is not canonical"
+            )
         return basis
 
     return store.cached_differential_echelon(s, w, compute)

@@ -12,7 +12,10 @@ outside a command nothing touches disk.  A command writes the bases it asks
 for and never their intermediates: a primitive space is the kernel of hit
 blocks that it holds in the memory tier alone (``held``), so a primitive
 command writes one entry, and the coinvariant relations reuse those blocks.
-An entry that the directory cannot take is skipped with a warning.
+An entry that the directory cannot take is skipped with a warning.  A
+lambda-differential entry holds the transpose over the sources less the
+boundaries' top coordinates, and only its rank is read, so an entry of the
+whole transpose, which has the same rank, serves as well.
 
 HPB2 layout, all little-endian:
 

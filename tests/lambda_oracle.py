@@ -1,7 +1,8 @@
 """Whole-word rewriting in the lambda algebra: the oracle for the engine's
 positional rewriting, and the quadratic relations it is checked on; and the
 reduced words generated last index first, the oracle for the engine's
-ascending-lex word lists.
+ascending-lex word lists; and the transposed differential eliminated in
+one shot, the oracle for the engine's first-index stream and its peel.
 
 ``whole_word_normal_form`` keeps a pending set of words, cancelling equal
 words as they arrive, and rewrites one bad pair of a popped word at a time:
@@ -15,13 +16,16 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from hitcalc.gf2 import EchelonBasis, ones
 from hitcalc.lambda_algebra import (
     NORMAL_FORM_STEP_BUDGET,
     LambdaElement,
     TerminationGuardError,
     _d_generator,
     _pair_nf,
+    bidegree_basis_tuples,
     binom2,
+    differential,
 )
 
 
@@ -111,3 +115,30 @@ def enumerate_words(s: int, w: int, bound: int | None = None) -> Iterator[tuple[
             continue  # prefix cannot absorb the remaining weight
         for prefix in enumerate_words(s - 1, w - v, 2 * v):
             yield prefix + (v,)
+
+
+def one_shot_differential_echelon(
+    s: int, w: int, drop: Iterable[int] = ()
+) -> EchelonBasis:
+    """The transposed differential out of (s, w) with every target row held
+    until the first is inserted, over the (s, w) words less the sources in
+    drop, which are left out of every row."""
+    drop = set(drop)
+    rows: dict[tuple[int, ...], list[int]] = {}
+    words = bidegree_basis_tuples(s, w)
+    for i, word in enumerate(words):
+        if i not in drop:
+            for t in differential(LambdaElement((word,))).terms:
+                rows.setdefault(t, []).append(i)
+    basis = EchelonBasis(len(words))
+    basis.extend(rows.values())
+    return basis
+
+
+def top_coordinates(basis: EchelonBasis) -> set[int]:
+    """The highest set coordinates of the nonzero vectors in the span of
+    basis: the pivots of its rows with the coordinates read in reverse."""
+    top = basis.ambient_length - 1
+    flipped = EchelonBasis(basis.ambient_length)
+    flipped.extend([top - k for k in ones(row)] for row in basis.row_ints())
+    return {top - p for p in flipped.pivots}

@@ -72,17 +72,37 @@ class TestQueries:
         assert code == 2
 
     def test_internal_error(self, run, monkeypatch):
-        # a differential that raises a first index trips the stream's guard
+        # a differential that raises a first index trips the stream's guard;
+        # only the stream's sources, of length 3, rise, so the boundary into
+        # (3, 5), which is built first, sees the true differential.  The
+        # stream skips the boundary's top coordinate (2, 2, 1)
         real = lambda_algebra._differential_words
         monkeypatch.setattr(
             lambda_algebra,
             "_differential_words",
-            lambda words: real(words) | {(u[0] + 1, 0) + u[1:] for u in words},
+            lambda words: real(words)
+            | {(u[0] + 1, 0) + u[1:] for u in words if len(u) == 3},
         )
         assert run("--no-cache", "ext", "-s", "3", "-w", "5") == (
             4,
             "",
-            "internal error: d(2, 2, 1) holds (3, 0, 2, 1): its first index rose\n",
+            "internal error: d(1, 2, 2) holds (2, 0, 2, 2): its first index rose\n",
+        )
+
+    def test_a_boundary_outside_the_bidegree_is_an_internal_error(
+        self, run, monkeypatch
+    ):
+        # a differential that holds a word of another weight
+        real = lambda_algebra._differential_words
+        monkeypatch.setattr(
+            lambda_algebra,
+            "_differential_words",
+            lambda words: real(words) | {(0,) + u for u in words},
+        )
+        assert run("--no-cache", "ext", "-s", "3", "-w", "5") == (
+            4,
+            "",
+            "internal error: d(0, 6) holds (0, 0, 6), not a word of bidegree (3, 5)\n",
         )
 
     def test_an_action_that_is_not_equivariant_is_an_internal_error(

@@ -26,7 +26,9 @@ from lambda_oracle import (
     enumerate_words,
     oracle_differential,
     oracle_normal_form,
+    one_shot_differential_echelon,
     relation_element,
+    top_coordinates,
 )
 
 
@@ -286,18 +288,6 @@ class TestHomology:
         assert homology_dim(2, 1) == 0
 
 
-def one_shot_differential_echelon(s, w):
-    """The transposed differential with every target row held until the first
-    is inserted: the oracle for the first-index stream."""
-    rows = {}
-    for i, word in enumerate(bidegree_basis_tuples(s, w)):
-        for t in differential(LambdaElement((word,))).terms:
-            rows.setdefault(t, []).append(i)
-    basis = EchelonBasis(bidegree_count(s, w))
-    basis.extend(rows.values())
-    return basis
-
-
 class TestDifferentialEchelon:
     """The rank of d out of (s, w), taken on the transpose over the (s, w) words."""
 
@@ -321,16 +311,57 @@ class TestDifferentialEchelon:
                         assert t[0] <= word[0], (word, t)
 
     def test_the_stream_equals_the_one_shot_build(self):
+        dropped = 0
         for s in range(6):
             for w in range(1, 31):
-                oracle = one_shot_differential_echelon(s, w).row_ints()
+                drop = top_coordinates(boundary_echelon(s, w))
+                dropped += len(drop)
+                oracle = one_shot_differential_echelon(s, w, drop).row_ints()
                 assert differential_echelon(s, w).row_ints() == oracle, (s, w)
+        assert dropped > 0
+
+    def test_the_boundaries_top_coordinates_are_not_pivots_of_the_transpose(self):
+        # d o d = 0 puts the boundaries in ker d, whose top coordinates are
+        # the non-pivot columns of the transpose, so dropping them keeps the rank
+        for s in range(6):
+            for w in range(1, 31):
+                whole = one_shot_differential_echelon(s, w)
+                tops = top_coordinates(boundary_echelon(s, w))
+                assert tops.isdisjoint(whole.pivots), (s, w)
+                assert differential_echelon(s, w).rank == whole.rank, (s, w)
+
+    @pytest.mark.parametrize("s, w, left", [(4, 17, 32), (4, 41, 1), (5, 30, 0)])
+    def test_the_peel_leaves_few_rows_to_eliminate(self, monkeypatch, s, w, left):
+        # the rows that keep two live sources once every one-source row is
+        # peeled; with no peel, (4, 41) would eliminate 8,374 rows for a
+        # rank of 2,361
+        boundary_echelon(s, w)  # memoised, built before the spy
+        handed = []
+        extend = EchelonBasis.extend
+
+        def spy(self, rows):
+            rows = list(rows)
+            handed.extend(rows)
+            extend(self, rows)
+
+        monkeypatch.setattr(EchelonBasis, "extend", spy)
+        assert differential_echelon(s, w).rank > 0
+        assert len(handed) == left
+
+    def test_a_basis_that_is_not_canonical_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            EchelonBasis, "from_canonical_rows", classmethod(lambda cls, m, rows: None)
+        )
+        with pytest.raises(RuntimeError, match=r"^the transposed differential out of"):
+            differential_echelon(4, 23)
 
     def test_a_rising_first_index_raises(self, monkeypatch):
+        # only the stream's sources, of length 2, rise: the boundary into
+        # (2, 5), which is built first, sees the true differential
         real = lambda_algebra._differential_words
 
         def rising(words):
-            return real(words) | {(u[0] + 1, 0) + u[1:] for u in words}
+            return real(words) | {(u[0] + 1, 0) + u[1:] for u in words if len(u) == 2}
 
         monkeypatch.setattr(lambda_algebra, "_differential_words", rising)
         with pytest.raises(RuntimeError, match=r"^d\(3, 2\) holds \(4, 0, 2\): its first"):

@@ -23,6 +23,7 @@ from hitcalc.store import (
     decode,
     encode,
 )
+from lambda_oracle import one_shot_differential_echelon
 
 
 def sample_entry():
@@ -516,6 +517,25 @@ def test_a_budget_the_basis_fits_writes_its_entry(tmp_path, capsys):
     store.configure(None)
     size = (tmp_path / "hit_plus_k4_d28.hpb2").stat().st_size
     assert size <= charged(hold_blocks(4, 28)[4]) + 35
+
+
+def test_a_differential_entry_of_the_whole_transpose_gives_the_same_ext(
+    tmp_path, capsys
+):
+    # an entry written before the boundaries' top coordinates were dropped
+    # holds the canonical rows of the whole transposed differential; only
+    # its rank is read, and the rank is the same
+    store.configure(None)
+    whole = one_shot_differential_echelon(4, 23)
+    assert whole.row_ints() != differential_echelon(4, 23).row_ints()
+    entry = CacheEntry(
+        "lambda-differential", 4, 23, whole.ambient_length, whole.shifted_rows()
+    )
+    path = cache_store(entry, tmp_path)
+    written = path.read_bytes()
+    assert main(["--cache-dir", str(tmp_path), "ext", "-s", "4", "-w", "23"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+    assert path.read_bytes() == written  # loaded, neither rejected nor rewritten
 
 
 def test_an_empty_basis_writes_its_entry_under_any_budget(tmp_path):
