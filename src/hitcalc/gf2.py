@@ -49,12 +49,23 @@ __all__ = [
 
 
 def ones(bits: int) -> list[int]:
-    """The set coordinates of a bit vector, ascending."""
+    """The set coordinates of a bit vector, ascending.
+
+    Peeling off the lowest set bit costs a pass over the whole int, so an
+    int with many set bits is read from its binary string instead, in one
+    pass and a search per bit.
+    """
     out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
+    if bits.bit_count() <= 16:
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
+    digits = bin(bits)  # "0b", then the highest bit first
+    i = len(digits)
+    while (i := digits.rfind("1", 0, i)) >= 0:
+        out.append(len(digits) - 1 - i)
     return out
 
 
@@ -103,7 +114,8 @@ class EchelonBasis:
             mask[p >> 3] |= 1 << (p & 7)
         pivots = int.from_bytes(mask, "little")
         for p, row in rows.items():
-            if row & (pivots >> p) != 1:  # even, or a one at a later pivot
+            # a unit row passes, and needs no shift of the mask
+            if row != 1 and row & (pivots >> p) != 1:  # even, or a later pivot
                 return None
         out = cls(ambient_length)
         out._rows = rows

@@ -128,6 +128,14 @@ def _act_exponents(g: GLMatrix, exps: tuple[int, ...]) -> frozenset[tuple[int, .
 # -- invariants of cohits --------------------------------------------------------
 
 
+def _apply(columns: list[int], v: int) -> int:
+    """The image of v under the map whose column j is columns[j]."""
+    out = 0
+    for j in ones(v):
+        out ^= columns[j]
+    return out
+
+
 def invariant_basis(n: int, d: int) -> list[Polynomial]:
     """Basis of the fixed space of the group acting on the cohit quotient.
 
@@ -165,15 +173,14 @@ def invariant_basis(n: int, d: int) -> list[Polynomial]:
         return coords
 
     relation_rows = EchelonBasis(q)
+    maps = []
     for g in generators(n):
         columns = [cohit_coords(_act_exponents(g, m)) for m in reps]
+        maps.append(columns)
         # every generator squares to 1, and so must the map it induces on
         # the cohits; one that does not is no action of g on the quotient
         for c, column in enumerate(columns):
-            square = 0
-            for j in ones(column):
-                square ^= columns[j]
-            if square != 1 << c:
+            if _apply(columns, column) != 1 << c:
                 raise RuntimeError("a generator acts on the cohits as no involution")
         # assemble (action - identity) columnwise, then feed its rows to the
         # kernel: the fixed space is the null space of the map, not of its
@@ -184,6 +191,18 @@ def invariant_basis(n: int, d: int) -> list[Polynomial]:
                 rows[r] |= 1 << c
         for row in rows:
             relation_rows.insert_int(row)
+    if maps:
+        # the transvection t and the transposition s_1 generate GL_2(F_2),
+        # which is S_3, and t s_1 has order 3 there; so the induced map of
+        # t s_1 must cube to 1 on the cohits, which an action that keeps
+        # the involutions but breaks the group can miss
+        s_1, t = maps[0], maps[-1]
+        for c in range(q):
+            v = 1 << c
+            for _ in range(3):
+                v = _apply(t, _apply(s_1, v))
+            if v != 1 << c:
+                raise RuntimeError("t s_1 acts on the cohits with a cube other than 1")
     fixed = relation_rows.kernel()
     return [
         Polynomial([reps[i] for i in ones(vec)], n) for vec in fixed.row_ints()

@@ -2,8 +2,8 @@
 
 Criteria 1-9 run unconditionally; criterion 10 is the documented stretch
 target (rank 5, degree 50 coinvariants) and only runs when HITCALC_HEAVY=1
-is set, since it takes about 160 s at 536 MiB peak RSS on a 2-core VM,
-too long for the default suite.
+is set, since it takes about 20 s at 526 MiB peak RSS on a 2-core VM, a
+peak above what the default suite should take.
 """
 
 import os
@@ -30,8 +30,9 @@ from hitcalc.lambda_algebra import (
     is_boundary,
     normal_form,
 )
-from hitcalc.steenrod import sq_exponent_targets
+from hitcalc.steenrod import monomial_count, sq_exponent_targets
 from hitcalc.transfer import class_equal, psi
+from hit_oracle import global_hit_echelon
 from lambda_oracle import oracle_normal_form, relation_element
 from reference import (
     degree_index,
@@ -77,10 +78,13 @@ def test_criterion_1_generator_oracle_equivalence():
 
 
 def test_criterion_2_peterson_wood():
+    # the engine skips these blocks by Wood's theorem, so the oracle's
+    # elimination is the check
     start = time.monotonic()
     for n in range(1, 5):
         for d in range(0, 31):
             if peterson_wood_zero(n, d):
+                assert global_hit_echelon(n, d).rank == monomial_count(n, d), (n, d)
                 assert cohit_dim(n, d) == 0, (n, d)
     verdict(2, "cohits vanish whenever alpha(n+d) > n, n<=4 d<=30", start)
 
@@ -199,7 +203,7 @@ def test_criterion_9_lambda_consistency():
 @pytest.mark.skipif(
     os.environ.get("HITCALC_HEAVY") != "1",
     reason="criterion 10 is opt-in: rank-5 degree-50 coinvariants take about "
-    "160 s at 536 MiB peak RSS on a 2-core VM; set HITCALC_HEAVY=1 to run it",
+    "20 s at 526 MiB peak RSS on a 2-core VM; set HITCALC_HEAVY=1 to run it",
 )
 def test_criterion_10_rank5_degree50(heavy_budget):
     start = time.monotonic()

@@ -125,6 +125,22 @@ class TestQueries:
             "internal error: a generator acts on the cohits as no involution\n",
         )
 
+    def test_an_action_that_breaks_the_group_is_an_internal_error(
+        self, run, monkeypatch
+    ):
+        # an image that keeps only its highest term: the transvection then
+        # induces the identity on the cohits, an involution, but t s_1 no
+        # longer has order 3
+        real = glrep._act_exponents
+        monkeypatch.setattr(
+            glrep, "_act_exponents", lambda g, exps: frozenset({max(real(g, exps))})
+        )
+        assert run("--no-cache", "coinvariants", "-n", "3", "-d", "9") == (
+            4,
+            "",
+            "internal error: t s_1 acts on the cohits with a cube other than 1\n",
+        )
+
     def test_dependent_invariants_are_an_internal_error(self, run, monkeypatch):
         real = glrep.invariant_basis
         monkeypatch.setattr(glrep, "invariant_basis", lambda n, d: 2 * real(n, d))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hitcalc import budget
 from hitcalc.budget import BudgetError
-from hitcalc.gf2 import EchelonBasis, quotient_representatives
+from hitcalc.gf2 import EchelonBasis, ones, quotient_representatives
 
 
 def eager_rref(rows):
@@ -173,6 +173,31 @@ class TestCanonicality:
         was_zero = b.reduce_int(probe) == 0
         grew = b.insert_int(probe)
         assert was_zero == (not grew)
+
+
+def bit_loop(bits):
+    """Reference: test every bit of every byte, in one linear pass."""
+    raw = bits.to_bytes(-(-bits.bit_length() // 8), "little")
+    return [8 * i + j for i, byte in enumerate(raw) for j in range(8) if byte >> j & 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.just(0),
+        st.sets(st.integers(min_value=0, max_value=200_000), max_size=40).map(
+            lambda coords: sum(1 << c for c in coords)
+        ),
+        # drawn from a seed: hypothesis cannot draw 10^5 random bits itself
+        st.tuples(
+            st.integers(min_value=100_001, max_value=200_000), st.integers(min_value=0)
+        ).map(lambda case: random.Random(case[1]).getrandbits(case[0]) | 1 << case[0] - 1),
+    )
+)
+def test_ones_is_the_bit_loop(bits):
+    # 0, sparse ints of up to 200,001 bits and dense ones of more than 10^5,
+    # on both sides of the switch from peeling bits to scanning a string
+    assert ones(bits) == bit_loop(bits)
 
 
 def test_budget_error():

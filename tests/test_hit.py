@@ -1,8 +1,12 @@
+import functools
+import itertools
 import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from hit_oracle import global_generator_rows, global_hit_echelon
 from reference import (
     degree_index,
@@ -16,7 +20,7 @@ from reference import (
 from hitcalc import budget, hit, store
 from hitcalc.budget import BudgetError
 from hitcalc.cli import main
-from hitcalc.gf2 import EchelonBasis, quotient_representatives
+from hitcalc.gf2 import EchelonBasis, ones, quotient_representatives
 from hitcalc.hit import (
     _generator_rows,
     _square_degrees,
@@ -33,6 +37,7 @@ from hitcalc.steenrod import (
     Polynomial,
     full_support_count,
     monomial_count,
+    mu,
     sq_exponent_targets,
 )
 
@@ -84,20 +89,145 @@ def test_every_generator_row_has_its_sources_support():
 
 
 def test_block_rows_are_the_full_support_rows():
-    # the reference rows of the sources with every exponent >= 1, indexed in
-    # the lex order of P^+_n(d)
+    # the reference rows of the sources with every exponent >= 1 whose
+    # weight vector lies above the minimal spike's, indexed in the lex order
+    # of P^+_n(d)
     for n in range(1, 5):
         for d in range(n, 19):
             index = {t: i for i, t in enumerate(m for m in degree_index(n, d) if all(m))}
             assert len(index) == full_support_count(n, d)
+            spike = minimal_spike_weights(n, d)
             rows = []
             for k in _square_degrees(d):
                 for m in enumerate_monomials(n, d - k):
-                    if all(m):
+                    if all(m) and (spike is None or weights(m) > spike):
                         targets = sq_exponent_targets(k, tuple(m))
                         if bits := sum(1 << index[t] for t in targets):
                             rows.append(bits)
             assert Counter(_generator_rows(n, d)) == Counter(rows), (n, d)
+
+
+# -- Singer's criterion and Wood's theorem, checked against brute force and the
+# oracle
+
+
+def weights(exps):
+    """The weight vector: entry i counts the exponents with bit i set.
+
+    Seven entries hold every exponent below 128, and trailing zeros do not
+    change the lex order of vectors of one length."""
+    return tuple(sum(e >> i & 1 for e in exps) for i in range(7))
+
+
+@functools.lru_cache(maxsize=None)
+def spikes(k):
+    """Degree -> the least (weight vector, exponents) over the spikes of
+    that degree in k variables, by trying every tuple of 2^t - 1 <= 63."""
+    least = {}
+    for exps in itertools.product((0, 1, 3, 7, 15, 31, 63), repeat=k):
+        d = sum(exps)
+        least[d] = min(least.get(d, (weights(exps), exps)), (weights(exps), exps))
+    return least
+
+
+def minimal_spike_weights(k, d):
+    """The minimal spike's weight vector, None when there is no spike."""
+    return spikes(k)[d][0] if d in spikes(k) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.integers(min_value=1, max_value=127),
+            st.lists(st.integers(min_value=0, max_value=127), min_size=k, max_size=k),
+            st.lists(st.integers(min_value=0, max_value=127), min_size=k, max_size=k),
+        )
+    )
+)
+def test_the_key_order_is_the_lex_order_of_weight_vectors(case):
+    k, d, x, y = case
+    x, y = [e % (d + 1) for e in x], [e % (d + 1) for e in y]
+    spread = hit._spread(k, d)
+    key_x, key_y = sum(spread[e] for e in x), sum(spread[e] for e in y)
+    assert (key_x < key_y) == (weights(x) < weights(y))
+    assert (key_x == key_y) == (weights(x) == weights(y))
+
+
+def test_the_minimal_spike_is_the_least_spike_by_brute_force():
+    for k in range(1, 6):
+        for d in range(61):
+            spread = hit._spread(k, d)
+            spike = hit._minimal_spike(k, d, spread)
+            if d not in spikes(k):
+                assert spike == -1 and k < mu(d), (k, d)
+                continue
+            _, exps = spikes(k)[d]
+            assert spike == sum(spread[e] for e in exps) and k >= mu(d), (k, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=5),
+)
+def test_each_term_of_a_square_has_a_smaller_key(exps, i):
+    k, square = len(exps), 1 << i
+    spread = hit._spread(k, sum(exps) + square)
+    key = sum(spread[e] for e in exps)
+    for target in sq_exponent_targets(square, tuple(exps)):
+        assert weights(target) < weights(exps)
+        assert sum(spread[e] for e in target) < key
+
+
+def block_oracle_rows(k, d):
+    """The canonical rows of the oracle's elimination of P_k(d) whose pivot
+    has every exponent >= 1, over the lex order of P^+_k(d), by pivot.
+
+    P_k(d) splits by support, so these rows lie in the block."""
+    tuples = lex_tuples(k, d)
+    plus = {i: j for j, i in enumerate(i for i, t in enumerate(tuples) if all(t))}
+    rows = {}
+    for row in global_hit_echelon(k, d).row_ints():
+        coords = [plus.get(i) for i in ones(row)]
+        if coords[0] is not None:
+            rows[coords[0]] = sum(1 << j for j in coords)
+    return rows
+
+
+# (4,15), (5,15) and (5,31)-like degrees 2^t - 1 drop nothing; (3,20) and (2,5)
+# are hit whole by Wood's theorem
+CRITERION_GRID = [
+    (2, 5), (2, 4), (3, 9), (3, 20), (4, 11), (4, 15), (5, 10), (5, 15),
+    (4, 23), (4, 25), (4, 35), (5, 21), (4, 47),
+]
+
+
+@pytest.mark.parametrize("k, d", CRITERION_GRID)
+def test_the_dropped_monomials_are_hit_and_the_block_is_the_oracles(k, d):
+    tuples = [t for t in lex_tuples(k, d) if all(t)]
+    oracle = block_oracle_rows(k, d)
+    spike = minimal_spike_weights(k, d)
+    if spike is None:  # Wood: every monomial is hit
+        assert k < mu(d)
+        dropped = list(range(len(tuples)))
+    else:
+        dropped = [j for j, t in enumerate(tuples) if weights(t) < spike]
+        spread, floor, _ = hit._criterion(k, d)
+        keys = hit._block_keys(k, d, spread)
+        assert [j for j, key in enumerate(keys) if key < floor] == dropped
+    for j in dropped:
+        assert oracle[j] == 1 << j, (k, d, tuples[j])
+    assert hit._block_echelon(k, d).row_ints() == [oracle[p] for p in sorted(oracle)]
+    if (k, d) in [(4, 23), (4, 35), (5, 21), (4, 47)]:
+        assert 0 < len(dropped) < len(tuples)
+
+
+def test_a_block_that_wood_kills_generates_no_row(monkeypatch):
+    monkeypatch.setattr(hit, "_generator_rows", None)
+    basis = hit._block_echelon(3, 20)  # mu(20) = 4
+    assert basis.rank == full_support_count(3, 20) == basis.ambient_length
 
 
 # every (n, d) with n <= 4, d <= 21 or n = 5, d <= 16, and larger instances
@@ -228,9 +358,12 @@ class TestPetersonWood:
         assert peterson_wood_zero(n, d) is expected
 
     def test_vanishing_filter(self):
+        # the engine skips these blocks by Wood's theorem, so the oracle's
+        # elimination is the check
         for n in (1, 2, 3):
             for d in range(0, 17):
                 if peterson_wood_zero(n, d):
+                    assert global_hit_echelon(n, d).rank == monomial_count(n, d), (n, d)
                     assert cohit_dim(n, d) == 0, (n, d)
 
 
