@@ -153,11 +153,7 @@ def _minimal_spike(k: int, d: int, spread: list[int]) -> int:
 def _criterion(k: int, d: int) -> _Criterion:
     """Singer's criterion for P^+_k(d)."""
     spread = _spread(k, d)
-    # spread[d], the key of u^d, is the least over P_k(d): omega_1(x) is at
-    # least d mod 2, and where it is equal the rest of omega(x) is that of a
-    # monomial of degree d >> 1; so where u^d is a spike, d = 2^t - 1,
-    # nothing is dropped
-    if d & (d + 1) == 0 or not 0 < k <= d:
+    if not 0 < k <= d:  # the block is empty, or the unit
         return _Criterion(spread, -1, [])
     spike = _minimal_spike(k, d, spread)
 
@@ -232,14 +228,13 @@ def _generator_rows(n: int, d: int) -> Iterator[int]:
     def walk(
         nv: int, deg: int, terms: list[tuple[int, int]], key: int
     ) -> Iterator[int]:
-        # each source yields the OR over terms (k, shift) of Sq^k(source) << shift;
-        # key is the weight key of the exponents fixed so far, or any key
-        # above the floor once that one is
+        # each source yields the OR over terms (k, shift) of Sq^k(source) << shift,
+        # and key is the weight key of the exponents fixed so far
+        firsts: Iterable[int] = range(deg - nv + 1, 0, -1)  # each later exponent is >= 1
+        if key <= floor:  # else every source below has a key above the floor
+            firsts = [a for a in firsts if key + spread[a] + reach[nv - 1][deg - a] > floor]
         if nv == 2:
-            sources: Iterable[int] = range(deg - 1, 0, -1)
-            if key <= floor:  # else every source's key is above the floor
-                sources = [b for b in sources if key + spread[b] + spread[deg - b] > floor]
-            for b in sources:
+            for b in firsts:
                 row = 0
                 for k, shift in terms:
                     pair = (k, b, deg - b)
@@ -255,23 +250,19 @@ def _generator_rows(n: int, d: int) -> Iterator[int]:
                 if row:
                     yield row
             return
-        for a in range(deg - nv + 1, 0, -1):  # each later exponent is >= 1
+        # a term's block starts depend on its square, not on the exponent a
+        placed = [(k, shift, _block_starts(nv, deg + k - nv)) for k, shift in terms]
+        for a in firsts:
             rest = deg - a
-            prefix = key  # above the floor already, so nothing below is skipped
-            if key <= floor:
-                prefix = key + spread[a]
-                if prefix + reach[nv - 1][rest] <= floor:
-                    continue
             sub = []
-            for k, shift in terms:
-                starts = _block_starts(nv, deg + k - nv)
+            for k, shift, starts in placed:
                 for k1 in _odd_submasks(a):
                     if k1 > k:
                         break
                     if k - k1 <= rest:
                         sub.append((k - k1, shift + starts[a + k1 - 1]))
             if sub:
-                yield from walk(nv - 1, rest, sub, prefix)
+                yield from walk(nv - 1, rest, sub, key + spread[a])
 
     yield from heapq.merge(
         *(walk(n, d - k, [(k, 0)], 0) for k in _square_degrees(d)),
@@ -308,10 +299,11 @@ def _block_echelon(k: int, d: int) -> EchelonBasis:
             for row in generated:
                 basis.insert_int(row)
             return basis
-        keys = _block_keys(k, d, spread)
-        dropped = [j for j, key in enumerate(keys) if key < floor]
-        keep = int(bytes(49 if key >= floor else 48 for key in reversed(keys)), 2)
-        del keys
+        dropped, kept = [], []
+        for j, key in enumerate(_block_keys(k, d, spread)):
+            (kept if key >= floor else dropped).append(j)
+        keep = _pack(kept)
+        del kept
         for row in generated:
             basis.insert_int(row & keep)
         rows = basis.shifted_rows()
@@ -377,15 +369,14 @@ def _embed(
         _embed(out, n, support, j + 1, rest - a, offset + starts[a])
 
 
-def _pack(coords: list[int]) -> int:
-    """The row whose set coordinates are coords, ascending, shifted down to
-    the first: a sum of shifts for a few, else one pass over a string of
-    digits, since each shift costs the width of the row."""
-    p = coords[0]
+def _pack(coords: list[int], base: int = 0) -> int:
+    """The int with bit c - base set for each c in coords, ascending: a sum
+    of shifts for a few, else one pass over a string of digits, since each
+    shift costs the width of the int."""
     if len(coords) <= 16:
-        return sum(1 << (c - p) for c in coords)
+        return sum(1 << (c - base) for c in coords)
     top = coords[-1]
-    digits = bytearray(b"0") * (top - p + 1)  # the highest coordinate first
+    digits = bytearray(b"0") * (top - base + 1)  # the highest bit first
     for c in coords:
         digits[top - c] = 49  # "1"
     return int(digits, 2)
@@ -409,7 +400,7 @@ def _relabel(n: int, d: int, block_of: Callable[[int], EchelonBasis]) -> Echelon
             index = _embedding(n, d, support)
             for q, row in held.items():
                 coords = [index[q + i] for i in ones(row)]
-                rows[coords[0]] = _pack(coords)
+                rows[coords[0]] = _pack(coords, coords[0])
     basis = EchelonBasis.from_canonical_rows(monomial_count(n, d), rows)
     if basis is None:
         raise RuntimeError(f"the relabelled hit blocks of P_{n}({d}) are not canonical")
