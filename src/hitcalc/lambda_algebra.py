@@ -37,10 +37,11 @@ w[r-1] > 2(j-1), and only such terms are rewritten, from that pair on.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections import Counter, defaultdict
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import store
 from .budget import BudgetError
@@ -310,7 +311,9 @@ def boundary_echelon(s: int, w: int) -> EchelonBasis:
 
     Boundaries here are the normalized differentials of the reduced words of
     bidegree (s - 1, w + 1); rows are coordinates over the (s, w) word
-    enumeration.
+    enumeration.  Only ``is_boundary`` needs the rows; ``homology_dim``
+    reads the boundaries' rank off ``boundary_tops``, which holds no row as
+    wide as the (s, w) words.
     """
 
     def compute() -> EchelonBasis:
@@ -331,16 +334,72 @@ def boundary_echelon(s: int, w: int) -> EchelonBasis:
     return store.cached_boundary_echelon(s, w, compute)
 
 
-def _top_coordinates(basis: EchelonBasis) -> set[int]:
-    """The highest set coordinates of the nonzero vectors of a span: the
-    pivots of its echelon form by highest bit, one per unit of rank."""
-    tops: dict[int, int] = {}
-    for p, row in basis.shifted_rows().items():
-        row <<= p
-        while (top := row.bit_length() - 1) in tops:
-            row ^= tops[top]
-        tops[top] = row
-    return set(tops)
+def boundary_tops(
+    s: int, w: int, targets: Sequence[tuple[int, ...]] | None = None
+) -> EchelonBasis:
+    """Unit rows at the top coordinates of the boundaries into (s, w), over
+    the (s, w) words, ``targets`` when the caller has them.
+
+    A top coordinate is the highest set coordinate of a nonzero boundary,
+    and there is one per unit of rank, so the rank of this basis is the
+    boundary rank and its pivots are the tops: the tags of the lambda-algebra
+    tables (Tangora, Mem. AMS 337, 1985).  Both are read off the transposed
+    differential out of (s - 1, w + 1), whose rows are as wide as those
+    words, several times fewer than the (s, w) words.  Column T of the
+    transpose lists the sources whose differential holds the target T.
+    Projected onto the coordinates >= T, the boundaries span a space of
+    dimension the rank of the columns >= T, and also the number of tops
+    >= T; so T is a top iff its column is independent of the columns above
+    it, and the columns go into an echelon basis in descending T.
+
+    The sources are walked in descending lex order, one first-index group
+    at a time, as in ``differential_echelon``: d never raises the first
+    index, so once the group of first index a is done, the columns of the
+    targets of first index a or more are complete, and are inserted and
+    freed.  A target that is no (s, w) word, or that falls in a column
+    already inserted, as its first index rose above its source's, raises
+    ``RuntimeError``.
+    """
+
+    def compute() -> EchelonBasis:
+        words = bidegree_basis_tuples(s, w) if targets is None else targets
+        index = {t: i for i, t in enumerate(words)}
+        sources = bidegree_basis_tuples(s - 1, w + 1) if s >= 1 else ()
+        columns = EchelonBasis(len(sources))
+        tops: list[int] = []
+        open_columns: dict[int, list[int]] = defaultdict(list)  # target -> its sources
+        done = len(words)  # the columns from here on are inserted
+
+        def flush(bound: int) -> None:
+            nonlocal done
+            for j in range(done - 1, bound - 1, -1):
+                column = open_columns.pop(j, None)
+                if column is not None and columns.insert_indices(column):
+                    tops.append(j)
+            done = bound
+
+        i = len(sources)
+        for a, group in itertools.groupby(reversed(sources), lambda u: u[0]):
+            for u in group:
+                i -= 1
+                terms = _differential_words((u,))
+                try:
+                    reached = [index[t] for t in terms]
+                except KeyError as stray:
+                    raise RuntimeError(
+                        f"d{u} holds {stray.args[0]}, not a word of bidegree ({s}, {w})"
+                    ) from None
+                for j in reached:
+                    if j >= done:  # a column already inserted
+                        raise RuntimeError(f"d{u} holds {words[j]}: its first index rose")
+                    open_columns[j].append(i)
+            flush(bisect.bisect_left(words, (a,)))  # the first target of first index a
+        flush(0)  # targets below every source's first index
+        basis = EchelonBasis.from_canonical_rows(len(words), dict.fromkeys(tops, 1))
+        assert basis is not None  # unit rows at distinct coordinates of words
+        return basis
+
+    return store.cached_boundary_tops(s, w, compute)
 
 
 def differential_echelon(s: int, w: int) -> EchelonBasis:
@@ -354,11 +413,13 @@ def differential_echelon(s: int, w: int) -> EchelonBasis:
     The highest set coordinate of each kernel vector that ``kernel`` reads
     off the canonical rows is a non-pivot column, so the highest set
     coordinates of ker d are exactly the non-pivot columns.  The boundaries
-    into (s, w) lie in ker d, as d o d = 0, so their highest set coordinates
-    (``rank`` of them) are non-pivot columns too.  Deleting non-pivot
-    columns keeps every canonical row's pivot, so those sources are skipped
-    before their differential is computed, and the rank does not change.
-    The basis is the canonical form over the columns that are left.
+    into (s, w) lie in ker d, as d o d = 0, so their highest set coordinates,
+    the pivots of ``boundary_tops(s, w)``, are non-pivot columns too.
+    Deleting non-pivot columns keeps every canonical row's pivot, so those
+    sources are skipped before their differential is computed, and the rank
+    does not change.  The basis is the canonical form over the columns that
+    are left.  The (s, w) words enumerated here are also the targets of the
+    pass behind ``boundary_tops``, which takes them, not a second copy.
 
     Each source's differential is its Leibniz terms, of which only those
     with a bad left junction, w[r-1] > 2(j-1), are rewritten: the replaced
@@ -389,7 +450,7 @@ def differential_echelon(s: int, w: int) -> EchelonBasis:
         _check_word_cap(s + 1, w - 1)
         sources = bidegree_basis_tuples(s, w)
         dead = bytearray(len(sources))  # 1 for a dropped or a peeled source
-        for f in _top_coordinates(boundary_echelon(s, w)):
+        for f in boundary_tops(s, w, sources).pivots:
             dead[f] = 1
         units: list[int] = []  # the peeled sources
         # a live source -> the waiting rows that hold it; a waiting row lists
@@ -462,10 +523,16 @@ def is_boundary(e: LambdaElement) -> bool:
 
 
 def homology_dim(s: int, w: int) -> int:
-    """Dimension of cycles modulo boundaries at (length, weight) = (s, w)."""
+    """Dimension of cycles modulo boundaries at (length, weight) = (s, w).
+
+    That is m - rank d - rank of the boundaries, for the m words of (s, w).
+    The rank of d is that of ``differential_echelon``, and the boundary rank
+    that of ``boundary_tops``; the (s, w) words are enumerated once, for
+    both, and no basis spans them.
+    """
     if s < 0 or w < 0:
         raise ValueError("length and weight must be non-negative")
     m = bidegree_count(s, w)
     if m == 0:
         return 0
-    return m - differential_echelon(s, w).rank - boundary_echelon(s, w).rank
+    return m - differential_echelon(s, w).rank - boundary_tops(s, w).rank

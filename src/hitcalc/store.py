@@ -4,8 +4,9 @@ Every memoised value is keyed by (kind, n, d).  The memory tier is always
 on and serves library calls; ``configure`` empties it.  The disk tier holds
 the echelon kinds (hit-plus, the hit space of the full-support block
 P^+_k(d), which serves every n >= k; primitive; lambda-bidegree; the
-coinvariant relations over the primitive basis; and lambda-differential,
-the transposed differential out of a lambda bidegree) and is on only while
+coinvariant relations over the primitive basis; lambda-differential, the
+transposed differential out of a lambda bidegree; and lambda-tops, unit
+rows at the top coordinates of the lambda boundaries) and is on only while
 ``configure`` names a directory, which the command line does once per
 command from ``--cache-dir``, ``--no-cache`` and ``$HITCALC_CACHE``;
 outside a command nothing touches disk.  A command writes the bases it asks
@@ -15,15 +16,17 @@ command writes one entry, and the coinvariant relations reuse those blocks.
 An entry that the directory cannot take is skipped with a warning.  A
 lambda-differential entry holds the transpose over the sources less the
 boundaries' top coordinates, and only its rank is read, so an entry of the
-whole transpose, which has the same rank, serves as well.
+whole transpose, which has the same rank, serves as well.  A lambda-tops
+entry has its own kind and file name, so a lambda-bidegree entry, which
+has the same rank but other pivots, is never read as one.
 
 HPB2 layout, all little-endian:
 
     magic   4s   b"HPB2"
     version u16  1
     kind    u8   2 = primitive, 3 = lambda-bidegree, 4 = coinvariant,
-                 5 = lambda-differential, 6 = hit-plus (1, whole hit
-                 spaces, is retired)
+                 5 = lambda-differential, 6 = hit-plus, 7 = lambda-tops
+                 (1, whole hit spaces, is retired)
     n_or_s  u32  variable count (or word length; for hit-plus: k)
     d_or_w  u32  degree (or weight)
     m       u64  ambient coordinate count (for coinvariant: the primitive
@@ -72,6 +75,7 @@ __all__ = [
     "cached_primitive_basis",
     "cached_boundary_echelon",
     "cached_differential_echelon",
+    "cached_boundary_tops",
     "cached_coinvariant_relations",
 ]
 
@@ -85,6 +89,7 @@ _KINDS = {  # kind 1 held whole hit spaces; it is retired, not reused
     "coinvariant": 4,
     "lambda-differential": 5,
     "hit-plus": 6,
+    "lambda-tops": 7,
 }
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
 
@@ -137,6 +142,8 @@ def _filename(kind: str, n: int, d: int) -> str:
         return f"lambda_s{n}_w{d}.hpb2"
     if kind == "lambda-differential":
         return f"lambda_d_s{n}_w{d}.hpb2"
+    if kind == "lambda-tops":
+        return f"lambda_t_s{n}_w{d}.hpb2"
     return f"{kind}_n{n}_d{d}.hpb2"
 
 
@@ -277,6 +284,16 @@ def cached_differential_echelon(
     from .lambda_algebra import bidegree_count
 
     return _fetch_echelon("lambda-differential", s, w, bidegree_count(s, w), compute)
+
+
+def cached_boundary_tops(
+    s: int, w: int, compute: Callable[[], EchelonBasis]
+) -> EchelonBasis:
+    """The unit rows at the top coordinates of the lambda boundaries into
+    (s, w); compute() on a miss."""
+    from .lambda_algebra import bidegree_count
+
+    return _fetch_echelon("lambda-tops", s, w, bidegree_count(s, w), compute)
 
 
 def cached_coinvariant_relations(

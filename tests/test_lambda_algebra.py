@@ -15,6 +15,7 @@ from hitcalc.lambda_algebra import (
     bidegree_count,
     binom2,
     boundary_echelon,
+    boundary_tops,
     differential,
     differential_echelon,
     homology_dim,
@@ -288,6 +289,45 @@ class TestHomology:
         assert homology_dim(2, 1) == 0
 
 
+class TestBoundaryTops:
+    """The boundaries' rank and top coordinates, from the transposed
+    differential out of one length down."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        store.configure(None)  # empties the memory tier
+        yield
+        store.configure(None)
+
+    def test_rank_and_tops_match_the_boundary_echelon(self):
+        tops = 0
+        for s in range(6):
+            for w in range(31):
+                boundaries = boundary_echelon(s, w)
+                basis = boundary_tops(s, w)
+                assert basis.rank == boundaries.rank, (s, w)
+                assert set(basis.pivots) == top_coordinates(boundaries), (s, w)
+                assert all(row == 1 for row in basis.shifted_rows().values())
+                tops += basis.rank
+        assert tops > 1000
+
+    def test_a_rising_first_index_raises(self, monkeypatch):
+        # (1, 2, 2) is a word of (3, 5), above the first index of (0, 6)
+        real = lambda_algebra._differential_words
+
+        def rising(words):
+            return real(words) | {(1, 2, 2)} if (0, 6) in words else real(words)
+
+        monkeypatch.setattr(lambda_algebra, "_differential_words", rising)
+        with pytest.raises(RuntimeError, match=r"^d\(0, 6\) holds \(1, 2, 2\): its first"):
+            boundary_tops(3, 5)
+
+    def test_homology_reads_no_boundary_echelon(self, monkeypatch):
+        monkeypatch.setattr(lambda_algebra, "boundary_echelon", None)
+        assert homology_dim(5, 30) == 1
+        assert homology_dim(4, 41) == 1
+
+
 class TestDifferentialEchelon:
     """The rank of d out of (s, w), taken on the transpose over the (s, w) words."""
 
@@ -349,6 +389,7 @@ class TestDifferentialEchelon:
         assert len(handed) == left
 
     def test_a_basis_that_is_not_canonical_raises(self, monkeypatch):
+        boundary_tops(4, 23)  # memoised, built before the patch
         monkeypatch.setattr(
             EchelonBasis, "from_canonical_rows", classmethod(lambda cls, m, rows: None)
         )
@@ -391,7 +432,10 @@ class TestDifferentialEchelon:
         monkeypatch.setattr(EchelonBasis, "__init__", spy)
         assert homology_dim(4, 41) == 1
         assert bidegree_count(5, 40) == 14_273
-        assert sorted(set(ambients)) == [bidegree_count(4, 41)]
+        # the boundaries' pass spans the (3, 42) words, and its tops and the
+        # transposed differential the (4, 41) words
+        assert sorted(set(ambients)) == [bidegree_count(3, 42), bidegree_count(4, 41)]
+        assert bidegree_count(3, 42) < bidegree_count(4, 41)
 
 
 class TestParsing:

@@ -12,12 +12,13 @@ from hitcalc.cli import main
 from hitcalc.gf2 import EchelonBasis
 from hitcalc.hit import cohit_dim, hit_basis, hold_blocks
 from hitcalc.homology import primitive_basis
-from hitcalc.lambda_algebra import boundary_echelon, differential_echelon
+from hitcalc.lambda_algebra import boundary_echelon, boundary_tops, differential_echelon
 from hitcalc.store import (
     CacheEntry,
     cache_load,
     cache_store,
     cached_boundary_echelon,
+    cached_boundary_tops,
     cached_hit_basis,
     cached_primitive_basis,
     decode,
@@ -316,6 +317,11 @@ class TestCachedWrappers:
         store.configure(tmp_path)
         assert cached_boundary_echelon(2, 4, unreachable).row_ints() == rows
 
+    def test_tops_roundtrip(self, tmp_path):
+        rows = boundary_tops(4, 23).row_ints()
+        store.configure(tmp_path)
+        assert cached_boundary_tops(4, 23, unreachable).row_ints() == rows
+
     def test_a_load_holds_no_decoded_copy_of_the_file(self, tmp_path):
         # the records are decoded straight into the rows the basis keeps, so
         # the load's traced peak is what it returns, the file's 840 KB and
@@ -443,13 +449,14 @@ class TestDiskTraffic:
                     "coinvariant_n4_d23",
                     "lambda_s4_w23",
                     "lambda_d_s4_w23",
+                    "lambda_t_s4_w23",
                 },
             ),
             (
                 ["transfer", "-n", "4", "-d", "23"],
                 {"primitive_n4_d23", "coinvariant_n4_d23", "lambda_s4_w23"},
             ),
-            (["ext", "-s", "4", "-w", "41"], {"lambda_s4_w41", "lambda_d_s4_w41"}),
+            (["ext", "-s", "4", "-w", "41"], {"lambda_t_s4_w41", "lambda_d_s4_w41"}),
             (
                 ["coinvariants", "-n", "4", "-d", "23"],
                 {"primitive_n4_d23", "coinvariant_n4_d23"},
@@ -490,9 +497,17 @@ def charged(basis):
         ("primitive", 4, 23, lambda: primitive_basis(4, 23).echelon),
         ("lambda-bidegree", 4, 23, lambda: boundary_echelon(4, 23)),
         ("lambda-differential", 3, 23, lambda: differential_echelon(3, 23)),
+        ("lambda-tops", 4, 23, lambda: boundary_tops(4, 23)),
         ("hit-plus", 5, 5, lambda: EchelonBasis(1)),  # the empty basis
     ],
-    ids=["hit-plus", "primitive", "lambda-bidegree", "lambda-differential", "empty"],
+    ids=[
+        "hit-plus",
+        "primitive",
+        "lambda-bidegree",
+        "lambda-differential",
+        "lambda-tops",
+        "empty",
+    ],
 )
 def test_an_entry_takes_at_most_its_charged_bytes_and_35(kind, n, d, make):
     # a record is 8 bytes and the row's bytes, below the row int's getsizeof,
@@ -537,6 +552,68 @@ def test_a_differential_entry_of_the_whole_transpose_gives_the_same_ext(
     assert main(["--cache-dir", str(tmp_path), "ext", "-s", "4", "-w", "23"]) == 0
     assert capsys.readouterr() == ("1\n", "")
     assert path.read_bytes() == written  # loaded, neither rejected nor rewritten
+
+
+class TestTopsEntry:
+    """The boundaries' top coordinates have their own kind and file name."""
+
+    args = ["ext", "-s", "4", "-w", "23"]
+
+    def test_a_damaged_tops_entry_recomputes(self, tmp_path, capsys):
+        args = ["--cache-dir", str(tmp_path), *self.args]
+        assert main(args) == 0
+        assert capsys.readouterr() == ("1\n", "")
+        path = tmp_path / "lambda_t_s4_w23.hpb2"
+        blob = bytearray(path.read_bytes())
+        blob[31] ^= 1  # the first top; the checksum no longer matches
+        path.write_bytes(bytes(blob))
+
+        assert main(args) == 0
+        assert capsys.readouterr() == (
+            "1\n",
+            f"warning: ignoring corrupt cache entry {path}\n",
+        )
+        assert main(args) == 0  # the recomputed entry was stored again
+        assert capsys.readouterr() == ("1\n", "")
+
+    def test_a_boundary_entry_is_never_read_as_tops(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a cache that holds the boundary echelon, as ext wrote it before the
+        # tops had a kind: its rank is the boundary rank, but its pivots are
+        # the boundaries' lowest coordinates, not their tops
+        store.configure(None)
+        boundaries = boundary_echelon(4, 23)
+        assert set(boundaries.pivots) != set(boundary_tops(4, 23).pivots)
+        entry = CacheEntry(
+            "lambda-bidegree", 4, 23, boundaries.ambient_length, boundaries.shifted_rows()
+        )
+        written = cache_store(entry, tmp_path).read_bytes()
+        loaded = []
+        load = store.cache_load
+
+        def spy(kind, n, d, directory):
+            loaded.append(kind)
+            return load(kind, n, d, directory)
+
+        monkeypatch.setattr(store, "cache_load", spy)
+        args = ["--cache-dir", str(tmp_path), *self.args]
+        assert main(args) == 0
+        assert capsys.readouterr() == ("1\n", "")
+        assert "lambda-bidegree" not in loaded
+        assert (tmp_path / "lambda_s4_w23.hpb2").read_bytes() == written
+
+        # under the tops' file name its kind byte rejects it
+        path = tmp_path / "lambda_t_s4_w23.hpb2"
+        path.write_bytes(written)
+        assert main(args) == 0
+        assert capsys.readouterr() == (
+            "1\n",
+            f"warning: ignoring corrupt cache entry {path}\n",
+        )
+        assert cache_load("lambda-tops", 4, 23, tmp_path).rows == dict.fromkeys(
+            boundary_tops(4, 23).pivots, 1
+        )
 
 
 def test_an_empty_basis_writes_its_entry_under_any_budget(tmp_path):
