@@ -395,11 +395,12 @@ def _relabel(n: int, d: int, block_of: Callable[[int], EchelonBasis]) -> Echelon
         block = block_of(k)
         if not block.rank:
             continue
-        held = block.shifted_rows()
-        for support in itertools.combinations(range(n), k):
-            index = _embedding(n, d, support)
-            for q, row in held.items():
-                coords = [index[q + i] for i in ones(row)]
+        supports = itertools.combinations(range(n), k)
+        embeddings = [_embedding(n, d, support) for support in supports]
+        for q, row in block.shifted_rows().items():
+            block_coords = [q + i for i in ones(row)]  # read once for every support
+            for index in embeddings:
+                coords = [index[c] for c in block_coords]
                 rows[coords[0]] = _pack(coords, coords[0])
     basis = EchelonBasis.from_canonical_rows(monomial_count(n, d), rows)
     if basis is None:

@@ -77,10 +77,25 @@ class Monomial(Term):
 
 
 class Polynomial(TermSet):
-    """A finite mod-2 sum of monomials in a fixed number of variables."""
+    """A finite mod-2 sum of monomials in a fixed number of variables.
+
+    In one variable the piece '0' is the unit monomial, so there zero is
+    printed and read as the empty text.
+    """
 
     __slots__ = ()
     term = Monomial
+
+    def __str__(self) -> str:
+        if self.n == 1 and not self.terms:
+            return ""
+        return super().__str__()
+
+    @classmethod
+    def parse(cls, text: str, *n: int | None) -> "Polynomial":
+        if n == (1,):
+            return cls((Monomial.parse(p) for p in text.split("+") if p.strip()), 1)
+        return super().parse(text, *n)
 
 
 def parse_monomial(text: str) -> Monomial:

@@ -2,7 +2,7 @@
 positional rewriting, and the quadratic relations it is checked on; and the
 reduced words generated last index first, the oracle for the engine's
 ascending-lex word lists; and the transposed differential eliminated in
-one shot, the oracle for the engine's first-index stream and its peel.
+one shot, the oracle for the engine's lex-ordered stream and its peel.
 
 ``whole_word_normal_form`` keeps a pending set of words, cancelling equal
 words as they arrive, and rewrites one bad pair of a popped word at a time:

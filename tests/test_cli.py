@@ -72,38 +72,42 @@ class TestQueries:
         assert code == 2
 
     def test_internal_error(self, run, monkeypatch):
-        # a differential that raises a first index trips the stream's guard;
-        # only the stream's sources, of length 3, rise, so the boundary into
-        # (3, 5), which is built first, sees the true differential.  The
-        # stream skips the boundary's top coordinate (2, 2, 1)
-        real = lambda_algebra._differential_words
-        monkeypatch.setattr(
-            lambda_algebra,
-            "_differential_words",
-            lambda words: real(words)
-            | {(u[0] + 1, 0) + u[1:] for u in words if len(u) == 3},
-        )
+        # a term that is not below its source trips the stream's guard; only
+        # the stream's sources, of length 3, get one, so the boundaries' pass
+        # into (3, 5), which runs first, sees the true differential.  The
+        # stream skips the boundaries' top coordinates, (2, 2, 1) first
+        real = lambda_algebra._level_terms
+
+        def rising(u, l, carry):
+            terms, carry = real(u, l, carry)
+            return [*terms, (u[0] + 1, 0) + u[1:]] if len(u) == 3 else terms, carry
+
+        monkeypatch.setattr(lambda_algebra, "_level_terms", rising)
         assert run("--no-cache", "ext", "-s", "3", "-w", "5") == (
             4,
             "",
-            "internal error: d(1, 2, 2) holds (2, 0, 2, 2): its first index rose\n",
+            "internal error: d(1, 2, 2) holds (2, 0, 2, 2), not below it at position 2\n",
         )
 
     def test_a_boundary_outside_the_bidegree_is_an_internal_error(
         self, run, monkeypatch
     ):
-        # a differential that holds a word of another weight; the boundaries'
-        # pass walks its sources in descending lex order, so (4, 2) is first
-        real = lambda_algebra._differential_words
-        monkeypatch.setattr(
-            lambda_algebra,
-            "_differential_words",
-            lambda words: real(words) | {(0,) + u for u in words},
-        )
+        # a term of another weight, below its source; only the boundaries'
+        # pass into (3, 5) walks sources of length 2, in descending lex
+        # order, so (4, 2) is first
+        real = lambda_algebra._level_terms
+
+        def heavy(u, l, carry):
+            terms, carry = real(u, l, carry)
+            if len(u) == 2 and u[l]:
+                terms = [*terms, u[:l] + (u[l] - 1, 1) + u[l + 1 :]]
+            return terms, carry
+
+        monkeypatch.setattr(lambda_algebra, "_level_terms", heavy)
         assert run("--no-cache", "ext", "-s", "3", "-w", "5") == (
             4,
             "",
-            "internal error: d(4, 2) holds (0, 4, 2), not a word of bidegree (3, 5)\n",
+            "internal error: d(4, 2) holds (4, 1, 1), not a word of bidegree (3, 5)\n",
         )
 
     def test_an_action_that_is_not_equivariant_is_an_internal_error(

@@ -312,15 +312,30 @@ class TestBoundaryTops:
         assert tops > 1000
 
     def test_a_rising_first_index_raises(self, monkeypatch):
-        # (1, 2, 2) is a word of (3, 5), above the first index of (0, 6)
-        real = lambda_algebra._differential_words
+        # (1, 2, 2) is a word of (3, 5), but not below (0, 6) at position 1
+        real = lambda_algebra._level_terms
 
-        def rising(words):
-            return real(words) | {(1, 2, 2)} if (0, 6) in words else real(words)
+        def rising(u, l, carry):
+            terms, carry = real(u, l, carry)
+            return [*terms, (1, 2, 2)] if u == (0, 6) else terms, carry
 
-        monkeypatch.setattr(lambda_algebra, "_differential_words", rising)
-        with pytest.raises(RuntimeError, match=r"^d\(0, 6\) holds \(1, 2, 2\): its first"):
+        monkeypatch.setattr(lambda_algebra, "_level_terms", rising)
+        with pytest.raises(
+            RuntimeError, match=r"^d\(0, 6\) holds \(1, 2, 2\), not below it at position 1$"
+        ):
             boundary_tops(3, 5)
+
+    def test_the_stream_takes_each_row_once_in_descending_order(self):
+        # the tops need the rows in descending order of their targets; with
+        # the boundaries' tops dropped, a bucket's targets come in out of order
+        sources = bidegree_basis_tuples(4, 30)
+        dead = bytearray(len(sources))
+        for f in boundary_tops(4, 30, sources).pivots:
+            dead[f] = 1
+        taken = []
+        lambda_algebra._lex_stream(sources, dead, None, lambda t, live: taken.append(t))
+        assert len(taken) > 1000
+        assert taken == sorted(set(taken), reverse=True)
 
     def test_homology_reads_no_boundary_echelon(self, monkeypatch):
         monkeypatch.setattr(lambda_algebra, "boundary_echelon", None)
@@ -397,16 +412,42 @@ class TestDifferentialEchelon:
             differential_echelon(4, 23)
 
     def test_a_rising_first_index_raises(self, monkeypatch):
-        # only the stream's sources, of length 2, rise: the boundary into
-        # (2, 5), which is built first, sees the true differential
-        real = lambda_algebra._differential_words
+        # only the stream's sources, of length 2, rise: the boundary pass
+        # into (2, 5), which runs first, walks sources of length 1
+        real = lambda_algebra._level_terms
 
-        def rising(words):
-            return real(words) | {(u[0] + 1, 0) + u[1:] for u in words if len(u) == 2}
+        def rising(u, l, carry):
+            terms, carry = real(u, l, carry)
+            return [*terms, (u[0] + 1, 0) + u[1:]] if len(u) == 2 else terms, carry
 
-        monkeypatch.setattr(lambda_algebra, "_differential_words", rising)
-        with pytest.raises(RuntimeError, match=r"^d\(3, 2\) holds \(4, 0, 2\): its first"):
+        monkeypatch.setattr(lambda_algebra, "_level_terms", rising)
+        with pytest.raises(
+            RuntimeError, match=r"^d\(3, 2\) holds \(4, 0, 2\), not below it at position 1$"
+        ):
             differential_echelon(2, 5)
+
+    def test_the_stream_takes_letters_above_255(self):
+        # the stream orders words as tuples, so a letter is not a byte
+        drop = top_coordinates(boundary_echelon(2, 300))
+        assert drop and set(boundary_tops(2, 300).pivots) == drop
+        oracle = one_shot_differential_echelon(2, 300, drop).row_ints()
+        assert differential_echelon(2, 300).row_ints() == oracle
+
+    @pytest.mark.parametrize("s, w", [(4, 41), (5, 30)])
+    def test_the_stream_expands_fewer_than_half_the_positions(self, monkeypatch, s, w):
+        # a source peeled at a position is not expanded at the positions below
+        live = bidegree_count(s, w) - boundary_tops(s, w).rank  # built before the spy
+        expanded = []
+        real = lambda_algebra._level_terms
+
+        def spy(u, l, carry):
+            expanded.append((u, l))
+            return real(u, l, carry)
+
+        monkeypatch.setattr(lambda_algebra, "_level_terms", spy)
+        assert differential_echelon(s, w).rank > 0
+        assert len(set(expanded)) == len(expanded)
+        assert len(expanded) < live * s / 2
 
     @pytest.mark.parametrize(
         "s, w, dim",
@@ -432,10 +473,11 @@ class TestDifferentialEchelon:
         monkeypatch.setattr(EchelonBasis, "__init__", spy)
         assert homology_dim(4, 41) == 1
         assert bidegree_count(5, 40) == 14_273
-        # the boundaries' pass spans the (3, 42) words, and its tops and the
-        # transposed differential the (4, 41) words
-        assert sorted(set(ambients)) == [bidegree_count(3, 42), bidegree_count(4, 41)]
-        assert bidegree_count(3, 42) < bidegree_count(4, 41)
+        # each boundaries' pass, from (4, 41) down, spans the words one
+        # length below its own, and its tops span its own words, as does the
+        # transposed differential: every ambient is some (4 - k, 41 + k)
+        assert sorted(set(ambients)) == [bidegree_count(4 - k, 41 + k) for k in range(4, -1, -1)]
+        assert bidegree_count(4, 41) < bidegree_count(5, 40)
 
 
 class TestParsing:

@@ -227,6 +227,15 @@ class TestFormats:
         assert str(p) == printed
         assert parse_polynomial(printed, p.n) == p
 
+    def test_the_one_variable_unit_and_zero_round_trip(self):
+        # in one variable '0' is the unit monomial, and zero the empty text
+        unit, zero = Polynomial([(0,)], 1), Polynomial.zero(1)
+        assert (str(unit), str(zero)) == ("0", "")
+        for p in (unit, zero, Polynomial([(3,)], 1), unit + zero):
+            assert parse_polynomial(str(p), 1) == p
+        assert not parse_polynomial("0", 1).is_zero()
+        assert parse_polynomial("0", 2).is_zero()
+
     @pytest.mark.parametrize(
         "make, message",
         [
